@@ -118,9 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "JSON (load in Perfetto / chrome://tracing; "
                              "docs/OBSERVABILITY.md)")
     parser.add_argument("--profile", action="store_true",
-                        help="with --trace: additionally print the per-run "
-                             "text profile (top spans + Figure-16 time "
-                             "split) to stderr")
+                        help="print the per-run text profile (top spans + "
+                             "Figure-16 time split) to stderr; traces into "
+                             "memory unless --trace also writes the trace")
     parser.add_argument("--show-config", action="store_true",
                         help="print the active CheckerConfig before checking")
     return parser
@@ -644,13 +644,13 @@ def check_main(argv: Optional[List[str]] = None) -> int:
         repair=args.repair,
         backend=args.backend,
         portfolio=portfolio,
-        trace=args.trace is not None,
+        trace=args.trace is not None or args.profile,
     )
     if args.show_config:
         print(config.describe())
 
     tracer = None
-    if args.trace is not None:
+    if config.trace:
         from repro.obs import Tracer, tracing
 
         tracer = Tracer(name="run")
@@ -667,8 +667,9 @@ def check_main(argv: Optional[List[str]] = None) -> int:
     if tracer is not None:
         from repro.obs import render_profile, write_chrome_trace
 
-        write_chrome_trace(args.trace, tracer.root,
-                           metrics=tracer.metrics.snapshot()["counters"])
+        if args.trace is not None:
+            write_chrome_trace(args.trace, tracer.root,
+                               metrics=tracer.metrics.snapshot()["counters"])
         if args.profile:
             print(render_profile(tracer.root, tracer.metrics),
                   file=sys.stderr)

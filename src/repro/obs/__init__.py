@@ -56,6 +56,7 @@ from repro.obs.trace import (
     activate,
     counter,
     current_tracer,
+    detail_span,
     graft,
     observe,
     restore,
@@ -73,6 +74,7 @@ __all__ = [
     "current_tracer",
     "restore",
     "span",
+    "detail_span",
     "tracing",
     "traced",
     "counter",

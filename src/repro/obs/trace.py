@@ -11,6 +11,15 @@ are load-bearing:
   the worker count; only the out-of-band timings differ.  That is what lets
   the deterministic-JSONL modes stay byte-identical and lets tests diff
   whole traces across ``--workers 1/2/4``.
+* **Detail spans stay out of identity.**  Some work happens only when a
+  query misses the cache — bit-blasting and the CDCL search inside
+  ``solver.query`` — so its spans (:func:`detail_span`) would make the tree
+  depend on cache contents.  They live in the in-process tree, where the
+  text profile and a single-process Chrome trace see them, but take no
+  sibling slot from identity spans and are left out of
+  :func:`span_payloads` and :func:`span_timings`, so serialized and grafted
+  trees never carry them.  Their latencies still reach the metrics
+  registry (``latency.solver.cdcl``, ...).
 * **Out-of-band timings.**  ``ts``/``dur`` (monotonic seconds relative to
   the tracer's epoch) ride next to the identity payload, not inside it:
   :func:`span_payloads` carries identity only, :func:`span_timings` the
@@ -46,6 +55,7 @@ __all__ = [
     "current_tracer",
     "restore",
     "span",
+    "detail_span",
     "tracing",
     "traced",
     "counter",
@@ -70,10 +80,11 @@ class Span:
     """One node of the trace tree."""
 
     __slots__ = ("name", "span_id", "parent_id", "seq", "args",
-                 "ts", "dur", "children")
+                 "ts", "dur", "children", "detail", "details")
 
     def __init__(self, name: str, parent_id: str = "", seq: int = 0,
-                 args: Optional[Dict[str, Any]] = None) -> None:
+                 args: Optional[Dict[str, Any]] = None,
+                 detail: bool = False) -> None:
         self.name = name
         self.parent_id = parent_id
         self.seq = seq
@@ -82,10 +93,21 @@ class Span:
         self.ts: float = 0.0          # seconds relative to the tracer epoch
         self.dur: float = 0.0         # seconds
         self.children: List["Span"] = []
+        #: A detail span (see module docstring) and this span's count of them.
+        self.detail = detail
+        self.details = 0
 
-    def child(self, name: str, args: Optional[Dict[str, Any]] = None) -> "Span":
-        node = Span(name, parent_id=self.span_id, seq=len(self.children),
-                    args=args)
+    def child(self, name: str, args: Optional[Dict[str, Any]] = None,
+              detail: bool = False) -> "Span":
+        # Identity children and detail children are numbered separately, so
+        # a detail span never shifts the seq of a later identity sibling.
+        if detail:
+            seq = self.details
+            self.details += 1
+        else:
+            seq = len(self.children) - self.details
+        node = Span(name, parent_id=self.span_id, seq=seq, args=args,
+                    detail=detail)
         self.children.append(node)
         return node
 
@@ -98,14 +120,18 @@ class Span:
         return {"id": self.span_id, "parent": self.parent_id,
                 "name": self.name, "seq": self.seq, "args": dict(self.args)}
 
-    def walk(self) -> List["Span"]:
-        """This span and every descendant in depth-first creation order."""
+    def walk(self, details: bool = True) -> List["Span"]:
+        """This span and every descendant in depth-first creation order.
+
+        ``details=False`` leaves out detail spans and their subtrees.
+        """
         out: List["Span"] = []
         stack = [self]
         while stack:
             node = stack.pop()
             out.append(node)
-            stack.extend(reversed(node.children))
+            stack.extend(child for child in reversed(node.children)
+                         if details or not child.detail)
         return out
 
     def self_time(self) -> float:
@@ -184,7 +210,12 @@ class Tracer:
         return self._stack[-1]
 
     def span(self, name: str, **args: Any) -> _SpanHandle:
-        node = self.current.child(name, args=args or None)
+        return self._open_span(self.current.child(name, args=args or None))
+
+    def detail_span(self, name: str) -> _SpanHandle:
+        return self._open_span(self.current.child(name, detail=True))
+
+    def _open_span(self, node: Span) -> _SpanHandle:
         node.ts = time.monotonic() - self._epoch
         self._stack.append(node)
         self._open[id(node)] = time.monotonic()
@@ -270,6 +301,14 @@ def span(name: str, **args: Any):
     return tracer.span(name, **args)
 
 
+def detail_span(name: str):
+    """Open a detail span (outside span identity), or do nothing if off."""
+    tracer = _ACTIVE
+    if tracer is None:
+        return _NULL_SPAN
+    return tracer.detail_span(name)
+
+
 def traced(name: Optional[str] = None) -> Callable:
     """Decorator wrapping a function call in a span named after it."""
 
@@ -306,12 +345,12 @@ def observe(name: str, value: float,
 
 def span_payloads(root: Span) -> List[Dict[str, Any]]:
     """Identity payloads of ``root``'s subtree in depth-first order."""
-    return [node.identity() for node in root.walk()]
+    return [node.identity() for node in root.walk(details=False)]
 
 
 def span_timings(root: Span) -> List[List[float]]:
     """``[ts, dur]`` rows parallel to :func:`span_payloads`."""
-    return [[node.ts, node.dur] for node in root.walk()]
+    return [[node.ts, node.dur] for node in root.walk(details=False)]
 
 
 def graft(parent: Span, payloads: Sequence[Dict[str, Any]],

@@ -19,10 +19,39 @@ solver reusable.  When a call returns UNSAT because an assumption literal
 was refuted, ``failed_assumption`` names it and the clause database stays
 consistent (``ok`` remains True).
 
-Literals use the DIMACS convention: variable ``v`` (a positive integer) is
-represented by the literals ``v`` and ``-v``.  The solver is deliberately
-dependency-free so that the whole reproduction runs on a stock Python
-install.
+Literals use the DIMACS convention at the interface: variable ``v`` (a
+positive integer) is represented by the literals ``v`` and ``-v``.  The
+solver is deliberately dependency-free so that the whole reproduction runs
+on a stock Python install.
+
+Internal layout
+---------------
+
+Inside the solver a literal is a *code*: ``2v`` for ``v`` and ``2v + 1``
+for ``-v``, so negation is ``code ^ 1`` and the variable is ``code >> 1``.
+Codes are converted only at the boundary (``add_clause``, the assumptions
+passed to ``solve``, ``failed_assumption``).  Per-code lists replace
+per-variable lookups on the hot path: ``_vals[code]`` is True, False or None
+(unassigned) for the literal itself, and ``_watches[code]`` lists the
+clauses watching that literal.  Clauses, the trail and the learned clauses
+hold codes.  ``_propagate`` binds these lists to locals and inlines the
+value test and the assignment.
+
+The decision heuristic keeps the unassigned variables in a binary max-heap
+ordered by activity, highest first, with ties going to the lowest variable
+index.  That is the order of a linear scan over ``1..num_vars`` that keeps
+the first strictly greater activity, so the heap picks exactly the variable
+the scan would.  The heap may also hold assigned variables; picking pops
+them, and ``_cancel_until`` re-inserts every variable it unassigns.
+Bumping an activity sifts the variable up, and the 1e100 rescale rebuilds
+the heap.
+
+Search order is a contract: for the same clauses, assumptions and budgets
+the solver makes the same decisions, conflicts and propagations as the
+plain reference loop it replaced, and ``tests/test_solver_sat.py`` pins the
+per-call counters on the snippet corpus.  Changes that alter search order
+(blocking literals, clause minimisation, restricted branching) need their
+own verdict checks first.
 """
 
 from __future__ import annotations
@@ -30,7 +59,7 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 class SatResult(enum.Enum):
@@ -41,11 +70,16 @@ class SatResult(enum.Enum):
     UNKNOWN = "unknown"      # resource limit (timeout / conflict budget) reached
 
 
+def _code(lit: int) -> int:
+    """Internal literal code of a DIMACS literal."""
+    return 2 * lit if lit > 0 else 1 - 2 * lit
+
+
 class _Clause:
     __slots__ = ("lits", "learned", "activity")
 
     def __init__(self, lits: List[int], learned: bool = False) -> None:
-        self.lits = lits
+        self.lits = lits          # literal codes; lits[0] and lits[1] watched
         self.learned = learned
         self.activity = 0.0
 
@@ -67,20 +101,25 @@ class SatSolver:
         self.num_vars = 0
         self.clauses: List[_Clause] = []
         self.learned: List[_Clause] = []
-        # watches[lit] -> clauses watching lit
-        self.watches: Dict[int, List[_Clause]] = {}
-        # assignment: var -> bool or None
-        self.assign: List[Optional[bool]] = [None]
+        # Per literal code (index 0 and 1 belong to the unused variable 0).
+        self._vals: List[Optional[bool]] = [None, None]
+        self._watches: List[List[_Clause]] = [[], []]
+        # Per variable.
         self.level: List[int] = [0]
         self.reason: List[Optional[_Clause]] = [None]
+        self.activity: List[float] = [0.0]
+        #: Saved phase as the code's sign bit: 0 positive, 1 negative.
+        self._phase: List[int] = [1]
+        self._seen: List[bool] = [False]
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.qhead = 0
 
-        self.activity: List[float] = [0.0]
+        # Decision heap of variables and each variable's slot in it (-1: out).
+        self._heap: List[int] = []
+        self._heap_pos: List[int] = [-1]
         self.var_inc = 1.0
         self.var_decay = 0.95
-        self.phase: List[bool] = [False]
 
         self.ok = True
         self.conflicts = 0
@@ -96,14 +135,16 @@ class SatSolver:
     def new_var(self) -> int:
         """Allocate a fresh variable and return its (positive) index."""
         self.num_vars += 1
-        self.assign.append(None)
+        v = self.num_vars
+        self._vals += (None, None)
+        self._watches += ([], [])
         self.level.append(0)
         self.reason.append(None)
         self.activity.append(0.0)
-        self.phase.append(False)
-        v = self.num_vars
-        self.watches.setdefault(v, [])
-        self.watches.setdefault(-v, [])
+        self._phase.append(1)
+        self._seen.append(False)
+        self._heap_pos.append(-1)
+        self._heap_insert(v)
         return v
 
     def add_clause(self, lits: Sequence[int]) -> bool:
@@ -114,29 +155,29 @@ class SatSolver:
         # simplification below is only sound against root-level assignments.
         if self.trail_lim:
             self._cancel_until(0)
+        vals = self._vals
         seen = set()
         out: List[int] = []
         for lit in lits:
-            if -lit in seen:
+            code = _code(lit)
+            if code ^ 1 in seen:
                 return True  # tautology
-            if lit in seen:
+            if code in seen:
                 continue
-            value = self._value(lit)
-            if value is True and self._lit_level(lit) == 0:
+            # Every assignment left after the cancel above is at the root.
+            value = vals[code]
+            if value is True:
                 return True  # already satisfied at root
-            if value is False and self._lit_level(lit) == 0:
+            if value is False:
                 continue      # falsified at root; drop literal
-            seen.add(lit)
-            out.append(lit)
+            seen.add(code)
+            out.append(code)
         if not out:
             self.ok = False
             return False
         if len(out) == 1:
-            if not self._enqueue(out[0], None):
-                self.ok = False
-                return False
-            conflict = self._propagate()
-            if conflict is not None:
+            self._assign(out[0], None)
+            if self._propagate() is not None:
                 self.ok = False
                 return False
             return True
@@ -146,116 +187,131 @@ class SatSolver:
         return True
 
     def _attach(self, clause: _Clause) -> None:
-        self.watches[clause.lits[0]].append(clause)
-        self.watches[clause.lits[1]].append(clause)
+        self._watches[clause.lits[0]].append(clause)
+        self._watches[clause.lits[1]].append(clause)
 
-    # -- assignment helpers --------------------------------------------------
+    # -- assignment -----------------------------------------------------------
 
-    def _value(self, lit: int) -> Optional[bool]:
-        val = self.assign[abs(lit)]
-        if val is None:
-            return None
-        return val if lit > 0 else not val
-
-    def _lit_level(self, lit: int) -> int:
-        return self.level[abs(lit)]
-
-    def _decision_level(self) -> int:
-        return len(self.trail_lim)
-
-    def _enqueue(self, lit: int, reason: Optional[_Clause]) -> bool:
-        value = self._value(lit)
-        if value is not None:
-            return value
-        var = abs(lit)
-        self.assign[var] = lit > 0
-        self.level[var] = self._decision_level()
+    def _assign(self, code: int, reason: Optional[_Clause]) -> None:
+        """Make the unassigned literal ``code`` true at the current level."""
+        var = code >> 1
+        self._vals[code] = True
+        self._vals[code ^ 1] = False
+        self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
-        self.phase[var] = lit > 0
-        self.trail.append(lit)
-        return True
+        self._phase[var] = code & 1
+        self.trail.append(code)
 
     # -- propagation -------------------------------------------------------
 
     def _propagate(self) -> Optional[_Clause]:
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
-            neg = -lit
-            watchers = self.watches[neg]
-            new_watchers: List[_Clause] = []
+        """Unit-propagate the trail from ``qhead``; return a conflict or None.
+
+        Watchers of a falsified literal are visited in list order; a clause
+        whose other watch is true keeps its place, a clause with a
+        replacement watch (the first non-false literal from position 2 on)
+        moves to that literal's list, and unit and conflicting clauses stay.
+        """
+        trail = self.trail
+        vals = self._vals
+        watches = self._watches
+        level = self.level
+        reason = self.reason
+        phase = self._phase
+        depth = len(self.trail_lim)
+        qhead = self.qhead
+        start = qhead
+        conflict: Optional[_Clause] = None
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            watchers = watches[false_lit]
+            kept: List[_Clause] = []
+            keep = kept.append
             i = 0
-            conflict: Optional[_Clause] = None
-            while i < len(watchers):
-                clause = watchers[i]
+            for clause in watchers:
                 i += 1
                 lits = clause.lits
                 # Make sure the falsified literal is at position 1.
-                if lits[0] == neg:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self._value(first) is True:
-                    new_watchers.append(clause)
+                if first == false_lit:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_lit
+                if vals[first] is True:
+                    keep(clause)
                     continue
                 # Look for a replacement watch.
-                found = False
                 for k in range(2, len(lits)):
-                    if self._value(lits[k]) is not False:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self.watches[lits[1]].append(clause)
-                        found = True
+                    other = lits[k]
+                    if vals[other] is not False:
+                        lits[1] = other
+                        lits[k] = false_lit
+                        watches[other].append(clause)
                         break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                new_watchers.append(clause)
-                if self._value(first) is False:
-                    conflict = clause
-                    new_watchers.extend(watchers[i:])
-                    break
-                self._enqueue(first, clause)
-            self.watches[neg] = new_watchers
+                else:
+                    # Clause is unit or conflicting.
+                    keep(clause)
+                    if vals[first] is False:
+                        conflict = clause
+                        kept.extend(watchers[i:])
+                        break
+                    var = first >> 1
+                    vals[first] = True
+                    vals[first ^ 1] = False
+                    level[var] = depth
+                    reason[var] = clause
+                    phase[var] = first & 1
+                    trail.append(first)
+            watches[false_lit] = kept
             if conflict is not None:
-                return conflict
-        return None
+                break
+        self.propagations += qhead - start
+        self.qhead = qhead
+        return conflict
 
     # -- conflict analysis ---------------------------------------------------
 
     def _analyze(self, conflict: _Clause) -> tuple[List[int], int]:
         learnt: List[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * (self.num_vars + 1)
+        seen = self._seen
+        level = self.level
+        trail = self.trail
+        depth = len(self.trail_lim)
         counter = 0
-        lit = None
+        lit = -1                 # the literal resolved on last (none yet)
         clause: Optional[_Clause] = conflict
-        index = len(self.trail) - 1
+        index = len(trail) - 1
 
         while True:
             assert clause is not None
-            self._bump_clause(clause)
+            if clause.learned:
+                clause.activity += 1.0
             for q in clause.lits:
-                if lit is not None and q == lit:
+                if q == lit:
                     continue
-                var = abs(q)
-                if not seen[var] and self.level[var] > 0:
+                var = q >> 1
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
                     self._bump_var(var)
-                    if self.level[var] >= self._decision_level():
+                    if level[var] >= depth:
                         counter += 1
                     else:
                         learnt.append(q)
             # Pick next literal from the trail to resolve on.
-            while not seen[abs(self.trail[index])]:
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            lit = self.trail[index]
-            var = abs(lit)
+            lit = trail[index]
+            var = lit >> 1
             seen[var] = False
             counter -= 1
             index -= 1
             if counter == 0:
                 break
             clause = self.reason[var]
-        learnt[0] = -lit
+        learnt[0] = lit ^ 1
+        for q in learnt[1:]:
+            seen[q >> 1] = False
 
         # Compute backtrack level (second highest level in the clause).
         if len(learnt) == 1:
@@ -263,65 +319,151 @@ class SatSolver:
         else:
             max_i = 1
             for i in range(2, len(learnt)):
-                if self.level[abs(learnt[i])] > self.level[abs(learnt[max_i])]:
+                if level[learnt[i] >> 1] > level[learnt[max_i] >> 1]:
                     max_i = i
             learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-            back_level = self.level[abs(learnt[1])]
+            back_level = level[learnt[1] >> 1]
         return learnt, back_level
 
     def _bump_var(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
+        activity = self.activity
+        activity[var] += self.var_inc
+        if activity[var] > 1e100:
             for i in range(1, self.num_vars + 1):
-                self.activity[i] *= 1e-100
+                activity[i] *= 1e-100
             self.var_inc *= 1e-100
-
-    def _bump_clause(self, clause: _Clause) -> None:
-        if clause.learned:
-            clause.activity += 1.0
+            self._heap_rebuild()
+        elif self._heap_pos[var] >= 0:
+            self._heap_sift_up(self._heap_pos[var])
 
     def _decay_var_activity(self) -> None:
         self.var_inc /= self.var_decay
 
+    # -- the decision heap ------------------------------------------------------
+    #
+    # Variable ``a`` goes above ``b`` when its activity is higher, or equal
+    # with a lower index.  The order is total, so the top is the same
+    # variable whatever the heap's shape.
+
+    def _heap_insert(self, var: int) -> None:
+        self._heap_pos[var] = len(self._heap)
+        self._heap.append(var)
+        self._heap_sift_up(len(self._heap) - 1)
+
+    def _heap_sift_up(self, i: int) -> None:
+        heap, pos, activity = self._heap, self._heap_pos, self.activity
+        var = heap[i]
+        act = activity[var]
+        while i:
+            parent = (i - 1) >> 1
+            above = heap[parent]
+            above_act = activity[above]
+            if above_act > act or (above_act == act and above < var):
+                break
+            heap[i] = above
+            pos[above] = i
+            i = parent
+        heap[i] = var
+        pos[var] = i
+
+    def _heap_sift_down(self, i: int) -> None:
+        heap, pos, activity = self._heap, self._heap_pos, self.activity
+        size = len(heap)
+        var = heap[i]
+        act = activity[var]
+        while True:
+            child = 2 * i + 1
+            if child >= size:
+                break
+            below = heap[child]
+            below_act = activity[below]
+            right = child + 1
+            if right < size:
+                other = heap[right]
+                other_act = activity[other]
+                if other_act > below_act or (other_act == below_act
+                                             and other < below):
+                    child, below, below_act = right, other, other_act
+            if act > below_act or (act == below_act and var < below):
+                break
+            heap[i] = below
+            pos[below] = i
+            i = child
+        heap[i] = var
+        pos[var] = i
+
+    def _heap_pop(self) -> int:
+        heap, pos = self._heap, self._heap_pos
+        top = heap[0]
+        last = heap.pop()
+        pos[top] = -1
+        if heap:
+            heap[0] = last
+            pos[last] = 0
+            self._heap_sift_down(0)
+        return top
+
+    def _heap_rebuild(self) -> None:
+        # A sorted list is a valid heap; rescaling can turn distinct
+        # activities equal, so the old shape may no longer be one.
+        activity = self.activity
+        self._heap.sort(key=lambda v: (-activity[v], v))
+        for i, var in enumerate(self._heap):
+            self._heap_pos[var] = i
+
     # -- backtracking ---------------------------------------------------------
 
     def _cancel_until(self, level: int) -> None:
-        if self._decision_level() <= level:
+        if len(self.trail_lim) <= level:
             return
         limit = self.trail_lim[level]
-        for lit in reversed(self.trail[limit:]):
-            var = abs(lit)
-            self.assign[var] = None
-            self.reason[var] = None
-        del self.trail[limit:]
+        vals, reason, pos = self._vals, self.reason, self._heap_pos
+        trail = self.trail
+        for code in trail[limit:]:
+            var = code >> 1
+            vals[code] = None
+            vals[code ^ 1] = None
+            reason[var] = None
+            if pos[var] < 0:
+                self._heap_insert(var)
+        del trail[limit:]
         del self.trail_lim[level:]
-        self.qhead = len(self.trail)
+        self.qhead = len(trail)
 
     # -- decisions ------------------------------------------------------------
 
+    def _next_branch_var(self) -> Optional[int]:
+        """The unassigned variable the next decision takes, left on the heap.
+
+        Assigned variables at the top are popped on the way.
+        """
+        heap, vals = self._heap, self._vals
+        while heap:
+            var = heap[0]
+            if vals[2 * var] is None:
+                return var
+            self._heap_pop()
+        return None
+
     def _pick_branch_var(self) -> Optional[int]:
-        best_var = None
-        best_act = -1.0
-        for var in range(1, self.num_vars + 1):
-            if self.assign[var] is None and self.activity[var] > best_act:
-                best_act = self.activity[var]
-                best_var = var
-        if best_var is None:
+        """Pop the next decision variable; return its saved-phase literal code."""
+        var = self._next_branch_var()
+        if var is None:
             return None
-        return best_var if self.phase[best_var] else -best_var
+        self._heap_pop()
+        return 2 * var | self._phase[var]
 
     # -- learned clause management -----------------------------------------
 
     def _reduce_learned(self) -> None:
         self.learned.sort(key=lambda c: c.activity)
-        keep = self.learned[len(self.learned) // 2:]
         dropped = set(id(c) for c in self.learned[: len(self.learned) // 2]
                       if len(c.lits) > 2)
         if not dropped:
             return
-        self.learned = [c for c in self.learned if id(c) not in dropped or len(c.lits) <= 2]
-        for lit in list(self.watches):
-            self.watches[lit] = [c for c in self.watches[lit] if id(c) not in dropped]
+        self.learned = [c for c in self.learned if id(c) not in dropped]
+        self._watches = [[c for c in watchers if id(c) not in dropped]
+                         for watchers in self._watches]
 
     # -- main loop -------------------------------------------------------------
 
@@ -358,6 +500,8 @@ class SatSolver:
         self.failed_assumption = None
         if not self.ok:
             return SatResult.UNSAT
+        assumed = [_code(lit) for lit in assumptions]
+        vals = self._vals
         deadline = None if timeout is None else time.monotonic() + timeout
         restart_idx = 1
         conflict_budget = 100 * self._luby(restart_idx)
@@ -376,18 +520,18 @@ class SatSolver:
             if conflict is not None:
                 self.conflicts += 1
                 conflicts_here += 1
-                if self._decision_level() == 0:
+                if not self.trail_lim:
                     self.ok = False
                     return SatResult.UNSAT
                 learnt, back_level = self._analyze(conflict)
                 self._cancel_until(back_level)
                 if len(learnt) == 1:
-                    self._enqueue(learnt[0], None)
+                    self._assign(learnt[0], None)
                 else:
                     clause = _Clause(learnt, learned=True)
                     self.learned.append(clause)
                     self._attach(clause)
-                    self._enqueue(learnt[0], clause)
+                    self._assign(learnt[0], clause)
                 self._decay_var_activity()
                 if len(self.learned) > max_learned:
                     self._reduce_learned()
@@ -409,13 +553,14 @@ class SatSolver:
                 restart_idx += 1
                 self.restarts += 1
                 conflict_budget = 100 * self._luby(restart_idx)
-                self._cancel_until(len(assumptions) if assumptions else 0)
+                self._cancel_until(len(assumed))
                 continue
 
             # Apply assumptions first.
-            if self._decision_level() < len(assumptions):
-                lit = assumptions[self._decision_level()]
-                value = self._value(lit)
+            depth = len(self.trail_lim)
+            if depth < len(assumed):
+                code = assumed[depth]
+                value = vals[code]
                 if value is True:
                     self.trail_lim.append(len(self.trail))
                     continue
@@ -423,27 +568,27 @@ class SatSolver:
                     # The clause database refutes this assumption: UNSAT
                     # relative to the assumptions, but the solver stays
                     # consistent and reusable.
-                    self.failed_assumption = lit
+                    self.failed_assumption = assumptions[depth]
                     self._cancel_until(0)
                     return SatResult.UNSAT
                 self.trail_lim.append(len(self.trail))
-                self._enqueue(lit, None)
+                self._assign(code, None)
                 continue
 
-            lit = self._pick_branch_var()
-            if lit is None:
+            code = self._pick_branch_var()
+            if code is None:
                 return SatResult.SAT
             self.decisions += 1
             self.trail_lim.append(len(self.trail))
-            self._enqueue(lit, None)
+            self._assign(code, None)
 
     # -- model access ------------------------------------------------------
 
     def model_value(self, var: int) -> bool:
         """Value of a variable in the most recent SAT model (False if unset)."""
-        value = self.assign[var]
-        return bool(value)
+        return self._vals[2 * var] is True
 
     def model(self) -> Dict[int, bool]:
         """Full variable assignment of the most recent SAT model."""
-        return {v: bool(self.assign[v]) for v in range(1, self.num_vars + 1)}
+        vals = self._vals
+        return {v: vals[2 * v] is True for v in range(1, self.num_vars + 1)}

@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import (MetricsRegistry, absorb_dataclass,
                                merge_counter_dataclass)
-from repro.obs.trace import span
+from repro.obs.trace import detail_span, span
 from repro.solver.backends import (BuiltinBackend, PortfolioAnswer,
                                    PortfolioSolver, create_backend, preanswer,
                                    resolve_portfolio)
@@ -418,12 +418,15 @@ class Solver:
         sat = SatSolver()
         cnf = CnfBuilder(sat)
         blaster = BitBlaster(cnf)
-        blaster.assert_term(conjunction)
+        with detail_span("solver.blast"):
+            blaster.assert_term(conjunction)
 
         remaining = None
         if effective_timeout is not None:
             remaining = max(0.0, effective_timeout - (time.monotonic() - start))
-        sat_result = sat.solve(max_conflicts=self.max_conflicts, timeout=remaining)
+        with detail_span("solver.cdcl"):
+            sat_result = sat.solve(max_conflicts=self.max_conflicts,
+                                   timeout=remaining)
         self._account_sat_work(sat, cnf, blaster, 0, 0, 0, 0, 0, 0)
 
         if sat_result is SatResult.SAT:
@@ -477,19 +480,21 @@ class Solver:
         restarts0, conflicts0 = sat.restarts, sat.conflicts
         decisions0, propagations0 = sat.decisions, sat.propagations
 
-        self._encode_pending()
-        delta_pairs: List[Tuple[Term, int]] = [
-            (term, blaster.blast_bool(self._simplify_term(term)))
-            for term in deltas]
+        with detail_span("solver.blast"):
+            self._encode_pending()
+            delta_pairs: List[Tuple[Term, int]] = [
+                (term, blaster.blast_bool(self._simplify_term(term)))
+                for term in deltas]
         assume = [frame.act for frame in self._frames if frame.act is not None]
         assume.extend(lit for _term, lit in delta_pairs)
 
         remaining = None
         if effective_timeout is not None:
             remaining = max(0.0, effective_timeout - (time.monotonic() - start))
-        sat_result = sat.solve(assumptions=assume,
-                               max_conflicts=self.max_conflicts,
-                               timeout=remaining)
+        with detail_span("solver.cdcl"):
+            sat_result = sat.solve(assumptions=assume,
+                                   max_conflicts=self.max_conflicts,
+                                   timeout=remaining)
         self._account_sat_work(sat, cnf, blaster, restarts0, conflicts0,
                                decisions0, propagations0, clauses0, hits0)
 
@@ -542,7 +547,8 @@ class Solver:
         sat = SatSolver()
         cnf = CnfBuilder(sat, record=True)
         blaster = BitBlaster(cnf)
-        blaster.assert_term(conjunction)
+        with detail_span("solver.blast"):
+            blaster.assert_term(conjunction)
 
         portfolio = self._make_portfolio(sat)
         try:
@@ -570,9 +576,10 @@ class Solver:
         clauses0 = cnf.num_clauses
         hits0 = blaster.cache_hits
 
-        self._encode_pending()
-        delta_lits = [blaster.blast_bool(self._simplify_term(term))
-                      for term in deltas]
+        with detail_span("solver.blast"):
+            self._encode_pending()
+            delta_lits = [blaster.blast_bool(self._simplify_term(term))
+                          for term in deltas]
         assume = [frame.act for frame in self._frames if frame.act is not None]
         assume.extend(delta_lits)
 

@@ -286,6 +286,16 @@ def test_trace_writes_loadable_chrome_trace(tmp_path, capsys):
     assert "unstable code" in captured.out
 
 
+def test_profile_without_trace_traces_into_memory(tmp_path, capsys):
+    code = main([write(tmp_path, "unstable.c", UNSTABLE), "--profile"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("profile: run")
+    assert "time split" in captured.err and "solver.query" in captured.err
+    assert "unstable code" in captured.out
+    assert not list(tmp_path.glob("*.json"))     # no trace file written
+
+
 def test_cluster_trace_writes_loadable_chrome_trace(tmp_path, capsys):
     from repro.obs.chrometrace import validate_chrome_trace
 

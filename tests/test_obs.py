@@ -26,6 +26,7 @@ from repro.obs.trace import (
     counter,
     current_tracer,
     derive_span_id,
+    detail_span,
     graft,
     observe,
     span,
@@ -63,6 +64,33 @@ class TestSpanIdentity:
         assert (first.seq, second.seq) == (0, 1)
         assert first.span_id != second.span_id
         assert first.parent_id == second.parent_id == root.span_id
+
+    def test_detail_spans_stay_out_of_identity(self):
+        tracer = Tracer()
+        with tracing(tracer):
+            with span("solver.query"):
+                with detail_span("solver.cdcl"):
+                    pass
+            with detail_span("solver.blast"):
+                pass
+            with span("solver.query"):
+                pass
+        with detail_span("ignored") as handle:      # no tracer: a no-op
+            assert handle.span is None
+        root = tracer.finish()
+        # The detail span is timed and walked, but neither numbers identity
+        # siblings nor reaches the payloads: the tree matches one that
+        # never had it.
+        assert [n.name for n in root.walk()] == [
+            "run", "solver.query", "solver.cdcl", "solver.blast",
+            "solver.query"]
+        assert root.children[0].children[0].detail
+        plain = Span("run")
+        plain.child("solver.query")
+        plain.child("solver.query")
+        assert span_payloads(root) == span_payloads(plain)
+        assert len(span_timings(root)) == 3
+        assert tracer.metrics.histogram("latency.solver.cdcl").count == 1
 
     def test_identity_payload_excludes_timing(self):
         node = Span("solver.query", args={"verdict": "unsat"})
@@ -366,8 +394,18 @@ class TestPipelineSpans:
                          "check.function", "stage2.encode",
                          "stage3.elimination", "stage3.simplification",
                          "stage4.report", "stage5.witness", "stage6.repair",
-                         "solver.query", "witness.replay"):
+                         "solver.query", "witness.replay", "solver.blast",
+                         "solver.cdcl"):
             assert expected in names, expected
+        # Bit-blasting and the CDCL search nest under the query that paid
+        # for them, as detail spans: profiled, but outside span identity
+        # (whether a query reaches them depends on the cache).
+        details = [n for n in tracer.root.walk() if n.detail]
+        assert {n.name for n in details} == {"solver.blast", "solver.cdcl"}
+        assert any(n.name == "solver.cdcl" for q in tracer.root.walk()
+                   if q.name == "solver.query" for n in q.children)
+        identity_names = {p["name"] for p in span_payloads(tracer.root)}
+        assert not identity_names & {"solver.blast", "solver.cdcl"}
         # Every solver query span carries its verdict and the repair stage
         # ran at least one gate.
         queries = [n for n in tracer.root.walk() if n.name == "solver.query"]

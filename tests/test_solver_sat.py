@@ -1,5 +1,7 @@
 """Unit tests for the CDCL SAT solver (repro.solver.sat)."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -181,3 +183,117 @@ class TestResourceLimits:
         s.solve()
         assert s.propagations >= 0
         assert s.decisions >= 0
+
+
+# ---------------------------------------------------------------------------
+# Search order is a contract (see the repro.solver.sat module docstring)
+# ---------------------------------------------------------------------------
+
+
+def reference_pick(solver):
+    """The linear branch scan the decision heap replaced.
+
+    Highest activity wins; among equal activities the lowest index does,
+    because only a strictly greater activity displaces the current best.
+    """
+    best_var, best_act = None, -1.0
+    for var in range(1, solver.num_vars + 1):
+        if solver._vals[2 * var] is None and solver.activity[var] > best_act:
+            best_var, best_act = var, solver.activity[var]
+    return best_var
+
+
+class TestDecisionHeap:
+    @staticmethod
+    def _checked(solver):
+        """Make every decision assert the heap's pick equals the scan's."""
+        picks = []
+        pick = solver._pick_branch_var
+
+        def checked_pick():
+            expected = reference_pick(solver)
+            assert solver._next_branch_var() == expected
+            picks.append(expected)
+            return pick()
+
+        solver._pick_branch_var = checked_pick
+        return picks
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_heap_pick_matches_linear_scan(self, seed):
+        rng = random.Random(seed)
+
+        def signed(chosen):
+            return [v if rng.random() < 0.5 else -v for v in chosen]
+
+        s = SatSolver()
+        picks = self._checked(s)
+        variables = make_vars(s, 40)
+        for _ in range(120):
+            s.add_clause(signed(rng.sample(variables, 3)))
+        rescaled = False
+        for step in range(12):
+            if step == 4:
+                # Start the rescale path: a variable bumped twice crosses
+                # 1e100, which the corpus never reaches.
+                s.var_inc = 9e99
+            inc_before = s.var_inc
+            assumptions = signed(rng.sample(variables, rng.randint(0, 5)))
+            s.solve(assumptions=assumptions, max_conflicts=60)
+            rescaled = rescaled or s.var_inc < inc_before
+            assert s._next_branch_var() == reference_pick(s)
+            if not s.ok:
+                break
+            # Clauses after an answer (a SAT answer leaves its model on the
+            # trail), and fresh variables between calls.
+            for _ in range(rng.randint(1, 3)):
+                s.add_clause(signed(rng.sample(variables, 3)))
+                assert s._next_branch_var() == reference_pick(s)
+            if rng.random() < 0.5:
+                variables.append(s.new_var())
+                assert s._next_branch_var() == reference_pick(s)
+        assert rescaled and len(picks) > 100
+
+    def test_ties_break_to_the_lowest_index(self):
+        s = SatSolver()
+        make_vars(s, 6)
+        for var in (5, 2, 4):
+            s.activity[var] = 1.0
+        s._heap_rebuild()
+        assert s._next_branch_var() == reference_pick(s) == 2
+
+
+def test_search_order_is_unchanged_on_the_snippet_corpus(monkeypatch):
+    """Per-call CDCL work on the 30-snippet corpus matches a pinned digest.
+
+    The digest is over the sequence of per-``solve`` ``(result, conflicts,
+    decisions, propagations, restarts)`` deltas, recorded with the
+    linear-scan solver the decision heap and literal codes replaced.  Any
+    change to decisions, conflicts or propagations (a different heap tie
+    rule, watcher order, restart or deletion policy) changes it.  The wall
+    clock budget is raised so a slow machine cannot turn an answer into
+    UNKNOWN.
+    """
+    from repro import CheckerConfig, check_corpus
+    from repro.corpus.snippets import SNIPPETS, STABLE_SNIPPETS
+
+    calls = []
+    solve = SatSolver.solve
+
+    def recording_solve(self, *args, **kwargs):
+        before = (self.conflicts, self.decisions, self.propagations,
+                  self.restarts)
+        result = solve(self, *args, **kwargs)
+        after = (self.conflicts, self.decisions, self.propagations,
+                 self.restarts)
+        calls.append([result.value] + [b - a for a, b in zip(before, after)])
+        return result
+
+    monkeypatch.setattr(SatSolver, "solve", recording_solve)
+    units = [(s.name, s.render("v")) for s in SNIPPETS + STABLE_SNIPPETS]
+    check_corpus(units, config=CheckerConfig(solver_timeout=600.0), workers=0)
+
+    totals = [sum(call[i] for call in calls) for i in range(1, 5)]
+    assert (len(calls), totals) == (75, [3993, 24098, 407832, 26])
+    blob = json.dumps(calls, separators=(",", ":")).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest()[:16] == "7e1256d7f4a418ab"
