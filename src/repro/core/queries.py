@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence, Set
 from repro.core.encode import FunctionEncoder
 from repro.obs.metrics import merge_counter_dataclass
 from repro.obs.ops import note_query
-from repro.obs.trace import span
+from repro.obs.trace import detail_span, span
 from repro.solver.solver import CheckResult, Solver, SolverStats
 from repro.solver.terms import Term
 
@@ -131,7 +131,10 @@ class QueryContext:
             if engine.cache is not None:
                 from repro.engine.cache import canonical_query_key
 
-                key = canonical_query_key(goal)
+                # A detail span: only runs with a cache attached compute
+                # keys, so it stays out of span identity.
+                with detail_span("query.cache_key"):
+                    key = canonical_query_key(goal)
                 verdict = engine.cache.lookup(
                     key, timeout=engine.timeout,
                     max_conflicts=engine.max_conflicts)

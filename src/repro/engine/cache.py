@@ -9,7 +9,7 @@ DAG — so that a verdict computed once can be replayed for every structurally
 identical query, across functions, across work units, and (via the JSONL
 persistence layer) across runs.
 
-Three design points matter for soundness:
+Four design points matter:
 
 * **Alpha-renaming.**  Variable names embed the function name
   (``f.arg.len``, ``f.div.3``), so two instances of the same template never
@@ -21,7 +21,9 @@ Three design points matter for soundness:
   otherwise serialize differently.  The canonical form orders commutative
   operands by a name-free structural color instead, so such queries — and
   the whole-function clusters built on the same idea in
-  :mod:`repro.cluster` — share one key.
+  :mod:`repro.cluster` — share one key.  Colors only pick an order; the
+  key still hashes the full serialization, so a different coloring can
+  only turn hits into misses, never replay a wrong verdict.
 * **DAG-aware serialization.**  Terms are hash-consed DAGs with heavy
   sharing; the serializer emits each distinct node once and refers to it by
   index, so the canonical form stays linear in DAG size.
@@ -50,7 +52,7 @@ import os
 import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.solver.terms import COMMUTATIVE_OPS, Op, Term
 
@@ -69,9 +71,49 @@ def _color(payload: str) -> int:
 
 
 _COLOR_MASK = (1 << 64) - 1
+#: Multipliers of splitmix64's finalizer, the bijective 64-bit mixer below.
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+#: Odd step that folds an ordered sequence of 64-bit words into one.
+_STEP = 0x9E3779B97F4A7C15
+#: Role of a commutative node's operands in the downward context (the
+#: other operators use the operand position 0, 1, 2, ... instead).
+_SHARED_ROLE = _color("ctx:commutative")
+_ROOT_ROLE = _color("root")
+
+#: ``(seed, commutative)`` of each static node part seen so far: the seed
+#: is the blake2b color of ``(op, sort, attrs)``.  Variables are keyed
+#: without their name and constants are not memoised, so the table is
+#: bounded by the operator/sort/attribute combinations the encoder emits (a
+#: few dozen on the corpus), not by the number of queries keyed.
+_STATIC: Dict[tuple, Tuple[int, bool]] = {}
+
+_VAR, _CONST = Op.VAR, Op.CONST
+#: ``COMMUTATIVE_OPS`` by operator value: a string hashes natively, an
+#: ``Enum`` member through a Python-level ``__hash__``.
+_SHARED_OPS = frozenset(op.value for op in COMMUTATIVE_OPS)
 
 
-def _canonical_colors(terms: Sequence[Term]):
+def _mix(word: int) -> int:
+    """splitmix64's finalizer: a bijection on 64-bit words."""
+    word = (word ^ (word >> 30)) * _MIX1 & _COLOR_MASK
+    word = (word ^ (word >> 27)) * _MIX2 & _COLOR_MASK
+    return word ^ (word >> 31)
+
+
+def _static(term: Term) -> Tuple[int, bool]:
+    """A node's name-free static part as ``(blake2b seed, commutative)``."""
+    op, sort = term.op, term.sort
+    if op is _CONST:
+        return _color(f"const:{term.attrs[0]}:{sort.kind}{sort.width}"), False
+    key = (op._value_, sort.kind, sort.width, () if op is _VAR else term.attrs)
+    static = _STATIC.get(key)
+    if static is None:
+        static = _STATIC[key] = (_color(repr(key)), key[0] in _SHARED_OPS)
+    return static
+
+
+def _canonical_colors(terms: Sequence[Term]) -> Dict[int, int]:
     """Name-free structural colors for every node of a query's term DAG.
 
     ``TermManager`` normalizes commutative operands by *creation order*
@@ -79,70 +121,113 @@ def _canonical_colors(terms: Sequence[Term]):
     construction histories — ``a + b`` in one translation unit, ``b + a`` in
     another — can disagree about operand order.  The colors computed here
     depend only on structure, never on names or tids, and are used solely to
-    pick a canonical operand order for commutative nodes:
+    pick a canonical operand order for commutative nodes.  The schedule is
+    Weisfeiler-Lehman colour refinement:
 
-    * an upward pass hashes each node from its operator, attributes, sort,
-      and child colors (commutative children as a sorted multiset), so
-      variables collapse to their sort;
-    * Weisfeiler-Lehman-style refinement rounds then alternate a downward
-      pass — each node absorbs the multiset of contexts it occurs in — with
-      a re-hash of the upward colors, which tells apart same-shaped subterms
-      (e.g. the ``x`` and ``y`` of ``(x + y) - x``, or the ``sext(x)`` and
-      ``sext(y)`` above them) by how the rest of the query uses them.
+    * an upward pass hashes each node from its static part (operator,
+      attributes, sort) and its child colors (commutative children as a
+      sorted multiset), so variables collapse to their sort;
+    * two refinement rounds then alternate a downward pass — each node
+      absorbs the multiset of contexts it occurs in: its root index, or its
+      parent's color under one shared role for commutative operands and the
+      operand position otherwise — with an upward re-hash that folds the
+      context in.  This tells apart same-shaped subterms (e.g. the ``x``
+      and ``y`` of ``(x + y) - x``, or the ``sext(x)`` and ``sext(y)``
+      above them) by how the rest of the query uses them.
+
+    Colors are 64-bit integers mixed arithmetically: an odd-multiplier fold
+    of the words, then splitmix64's finalizer.  The only cryptographic hash
+    a node costs is the blake2b seed of its static part, memoised per
+    static part in ``_STATIC`` (constants excepted, which keeps the table
+    bounded).  Nothing depends on ``hash()`` of a string, so colors are the
+    same in every process and run.  A context is a sum mod 2**64 of mixed
+    words, i.e. a hash of the multiset of the node's occurrences.
 
     Color collisions are harmless for soundness — they only fall back to the
     original operand order, they never change what the serialization says.
     """
-    order: List[Term] = []
-    seen: set = set()
-    for root in terms:
-        stack = [(root, False)]
-        while stack:
-            term, ready = stack.pop()
-            if ready:
-                order.append(term)
-                continue
-            if term.tid in seen:
-                continue
-            seen.add(term.tid)
-            stack.append((term, True))
-            for arg in term.args:
-                stack.append((arg, False))
-
-    def structural(term: Term, colors: Dict[int, int], context: int) -> int:
-        sort = term.sort.kind if term.sort.is_bool() else f"bv{term.sort.width}"
-        if term.op is Op.VAR:
-            payload = f"var::{sort}"
-        elif term.op is Op.CONST:
-            payload = f"const:{term.attrs[0]}:{sort}"
+    reached: Dict[int, Term] = {}
+    stack = list(terms)
+    while stack:
+        term = stack.pop()
+        if term.tid not in reached:
+            reached[term.tid] = term
+            stack.extend(term.args)
+    # A term is always created after its operands, so ascending tids put
+    # children before parents.
+    tids = sorted(reached)
+    index = {tid: node for node, tid in enumerate(tids)}
+    kids: List[tuple] = []          # child positions of every node
+    seeds: List[int] = []
+    shared: List[bool] = []
+    for tid in tids:
+        term = reached[tid]
+        args = term.args
+        if not args:
+            kids.append(())
+        elif len(args) == 1:
+            kids.append((index[args[0].tid],))
+        elif len(args) == 2:
+            kids.append((index[args[0].tid], index[args[1].tid]))
         else:
-            child = [colors[a.tid] for a in term.args]
-            if term.op in COMMUTATIVE_OPS:
-                child.sort()
-            attrs = ",".join(str(a) for a in term.attrs)
-            payload = f"{term.op.value}:{attrs}:{sort}:" \
-                      + ",".join(str(c) for c in child)
-        return _color(f"{payload}@{context}")
+            kids.append(tuple([index[a.tid] for a in args]))
+        seed, commutative = _static(term)
+        seeds.append(seed)
+        shared.append(commutative)
+    count = len(tids)
+    mask, step, mix1, mix2 = _COLOR_MASK, _STEP, _MIX1, _MIX2
 
-    colors: Dict[int, int] = {}
-    for term in order:               # children before parents
-        colors[term.tid] = structural(term, colors, 0)
+    def upward(context: List[int]) -> List[int]:
+        # The fold is only reduced mod 2**64 once per node: arithmetic mod
+        # 2**64 gives the same word whether it masks each step or the end.
+        colors = [0] * count
+        for node in range(count):
+            word = seeds[node] ^ (context[node] & mask)
+            children = kids[node]
+            if len(children) == 1:
+                word = word * step + colors[children[0]]
+            elif len(children) == 2:
+                first, second = colors[children[0]], colors[children[1]]
+                if first > second and shared[node]:
+                    first, second = second, first
+                word = (word * step + first) * step + second
+            elif children:
+                child = [colors[c] for c in children]
+                if shared[node]:
+                    child.sort()
+                for color in child:
+                    word = word * step + color
+            word &= mask
+            word = (word ^ (word >> 30)) * mix1 & mask
+            word = (word ^ (word >> 27)) * mix2 & mask
+            colors[node] = word ^ (word >> 31)
+        return colors
 
+    colors = upward([0] * count)
     for _ in range(2):               # two refinement rounds suffice in practice
-        context: Dict[int, int] = {}
-        for index, root in enumerate(terms):
-            context[root.tid] = (context.get(root.tid, 0)
-                                 + _color(f"root:{index}")) & _COLOR_MASK
-        for term in reversed(order):     # parents before children
-            mine = _color(f"{colors[term.tid]}@{context.get(term.tid, 0)}")
-            for position, arg in enumerate(term.args):
-                role = -1 if term.op in COMMUTATIVE_OPS else position
-                context[arg.tid] = (context.get(arg.tid, 0)
-                                    + _color(f"ctx:{mine}:{role}")) & _COLOR_MASK
-        for term in order:               # fold contexts back into the colors
-            colors[term.tid] = structural(term, colors,
-                                          context.get(term.tid, 0))
-    return colors
+        context = [0] * count
+        for position, root in enumerate(terms):
+            context[index[root.tid]] += _mix(_ROOT_ROLE + position)
+        for node in range(count - 1, -1, -1):    # parents before children
+            children = kids[node]
+            if not children:
+                continue
+            mine = (colors[node] * step + context[node]) & mask
+            if shared[node]:
+                word = mine ^ _SHARED_ROLE
+                word = (word ^ (word >> 30)) * mix1 & mask
+                word = (word ^ (word >> 27)) * mix2 & mask
+                word ^= word >> 31
+                for child in children:
+                    context[child] += word
+            else:
+                for position, child in enumerate(children):
+                    word = (mine + position) & mask
+                    word = (word ^ (word >> 30)) * mix1 & mask
+                    word = (word ^ (word >> 27)) * mix2 & mask
+                    context[child] += word ^ (word >> 31)
+        colors = upward(context)
+    return dict(zip(tids, colors))
 
 
 def canonical_query_key(terms: Sequence[Term]) -> str:
@@ -156,40 +241,51 @@ def canonical_query_key(terms: Sequence[Term]) -> str:
     to variable naming and commutative operand order — both of which
     preserve semantics, so replaying a verdict across equal keys is sound.
     """
-    final = _canonical_colors(terms)
+    return _serialized_key(terms, _canonical_colors(terms))
 
-    def canonical_args(term: Term) -> List[Term]:
-        if term.op in COMMUTATIVE_OPS and len(term.args) > 1:
-            return sorted(term.args, key=lambda a: final[a.tid])
-        return list(term.args)
 
+def _serialized_key(terms: Sequence[Term], colors: Dict[int, int]) -> str:
+    """SHA-256 of the serialization whose commutative order ``colors`` picks.
+
+    Operands of a commutative node are listed by ascending color; equal
+    colors keep the term manager's order (the sort is stable).
+    """
+    color = colors.__getitem__
     rename: Dict[str, str] = {}
     memo: Dict[int, str] = {}
     nodes: List[str] = []
     for root in terms:
-        stack = [(root, False)]
+        stack: List[tuple] = [(root, None)]
         while stack:
-            term, ready = stack.pop()
+            term, args = stack.pop()
             if term.tid in memo:
                 continue
-            if not ready:
-                stack.append((term, True))
+            if args is None:
+                args = term.args
+                if len(args) > 1 and term.op._value_ in _SHARED_OPS:
+                    if len(args) > 2:
+                        args = sorted(args, key=lambda a: color(a.tid))
+                    elif color(args[0].tid) > color(args[1].tid):
+                        args = (args[1], args[0])
                 # Reversed push so the canonically-first operand is visited
                 # (and therefore alpha-renamed) first.
-                for arg in reversed(canonical_args(term)):
-                    if arg.tid not in memo:
-                        stack.append((arg, False))
-                continue
-            sort = term.sort.kind if term.sort.is_bool() else f"bv{term.sort.width}"
-            if term.op is Op.VAR:
+                pending = [(arg, None) for arg in reversed(args)
+                           if arg.tid not in memo] if args else None
+                if pending:
+                    stack.append((term, args))
+                    stack.extend(pending)
+                    continue
+            op, sort = term.op, term.sort
+            if op is _VAR:
+                text = "bool" if sort.kind == "bool" else f"bv{sort.width}"
                 alias = rename.setdefault(term.attrs[0], f"v{len(rename)}")
-                node = f"var:{alias}:{sort}"
-            elif term.op is Op.CONST:
-                node = f"const:{term.attrs[0]}:{sort}"
+                node = f"var:{alias}:{text}"
+            elif op is _CONST:
+                text = "bool" if sort.kind == "bool" else f"bv{sort.width}"
+                node = f"const:{term.attrs[0]}:{text}"
             else:
-                args = ",".join(memo[a.tid] for a in canonical_args(term))
-                attrs = ",".join(str(a) for a in term.attrs)
-                node = f"{term.op.value}:{attrs}:{args}"
+                node = f"{op._value_}:{','.join(map(str, term.attrs))}:" \
+                       + ",".join([memo[a.tid] for a in args])
             memo[term.tid] = f"n{len(nodes)}"
             nodes.append(node)
     roots = ",".join(memo[t.tid] for t in terms)
@@ -228,6 +324,19 @@ class CacheEntry:
                 (max_conflicts is None or self.max_conflicts < max_conflicts):
             return False
         return True
+
+    def replaces(self, existing: Optional["CacheEntry"]) -> bool:
+        """The merge rule: may this entry overwrite ``existing``?
+
+        A definitive verdict is never downgraded, and an ``unknown`` only
+        replaces another ``unknown`` whose budget its own covers.
+        """
+        if existing is None:
+            return True
+        if existing.verdict != VERDICT_UNKNOWN:
+            return False
+        return self.verdict != VERDICT_UNKNOWN or \
+            self.budget_covers(existing.timeout, existing.max_conflicts)
 
 
 @contextlib.contextmanager
@@ -342,11 +451,7 @@ class SolverQueryCache:
         added = 0
         for data in entries:
             entry = CacheEntry.from_dict(data)
-            existing = self._entries.get(entry.key)
-            if existing is not None and existing.verdict != VERDICT_UNKNOWN:
-                continue
-            if existing is not None and entry.verdict == VERDICT_UNKNOWN and \
-                    not entry.budget_covers(existing.timeout, existing.max_conflicts):
+            if not entry.replaces(self._entries.get(entry.key)):
                 continue
             self._entries[entry.key] = entry
             self._entries.move_to_end(entry.key)
@@ -361,10 +466,16 @@ class SolverQueryCache:
         return [entry.as_dict() for entry in self._entries.values()]
 
     def seed(self, entries: Iterable[Dict[str, object]]) -> None:
-        """Load entries without marking them dirty (worker bootstrap)."""
+        """Load entries without marking them dirty (worker bootstrap).
+
+        Entries merge under the same rule as :meth:`absorb`, so a file
+        holding a definitive verdict and a later ``unknown`` for one key
+        (appended or concatenated cache files) keeps the definitive one.
+        """
         for data in entries:
             entry = CacheEntry.from_dict(data)
-            self._entries[entry.key] = entry
+            if entry.replaces(self._entries.get(entry.key)):
+                self._entries[entry.key] = entry
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
@@ -396,9 +507,10 @@ class SolverQueryCache:
         Concurrent-writer safe: the whole read-merge-rewrite runs under an
         exclusive advisory lock (``<path>.lock``), re-reads entries other
         processes published since this cache loaded, merges this cache's
-        unflushed entries on top (definitive verdicts win over ``unknown``;
-        an ``unknown`` only replaces another under a strictly larger
-        budget), writes the result to a same-directory temp file, and
+        unflushed entries on top under the merge rule of
+        :meth:`CacheEntry.replaces` (definitive verdicts win over
+        ``unknown``; an ``unknown`` only replaces another under a budget at
+        least as large), writes the result to a same-directory temp file, and
         atomically renames it into place.  Readers therefore always see a
         complete file, and cooperating writers never lose each other's
         entries.  Returns how many of this cache's entries were merged in.
@@ -426,16 +538,12 @@ class SolverQueryCache:
                         if "key" not in data or \
                                 data.get("verdict") not in _VERDICTS:
                             continue
-                        merged[str(data["key"])] = CacheEntry.from_dict(data)
+                        entry = CacheEntry.from_dict(data)
+                        if entry.replaces(merged.get(entry.key)):
+                            merged[entry.key] = entry
             for entry in self._unflushed:
-                existing = merged.get(entry.key)
-                if existing is not None:
-                    if existing.verdict != VERDICT_UNKNOWN:
-                        continue           # never downgrade a definitive one
-                    if entry.verdict == VERDICT_UNKNOWN and \
-                            not entry.budget_covers(existing.timeout,
-                                                    existing.max_conflicts):
-                        continue           # keep the larger-budget unknown
+                if not entry.replaces(merged.get(entry.key)):
+                    continue
                 merged[entry.key] = entry
                 written += 1
             fd, temp_path = tempfile.mkstemp(

@@ -19,7 +19,7 @@ __all__ = ["aggregate_spans", "time_split", "render_profile"]
 # bucket; unmatched spans fall into "other".
 _SPLIT_PREFIXES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("solver", ("solver.query", "solver.race", "solver.blast",
-                "solver.cdcl")),
+                "solver.cdcl", "query.cache_key")),
     ("frontend", ("stage1.", "unit:compile")),
     ("encode", ("stage2.",)),
     ("interp", ("stage5.", "witness.replay", "exec.")),

@@ -7,15 +7,19 @@ reruns issuing strictly fewer solver queries, timeout escalation, the JSONL
 result sink, and the CheckerConfig.describe() helper.
 """
 
+import hashlib
 import json
 import os
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import check_corpus, check_source
 from repro.core.checker import CheckerConfig
 from repro.core.report import diagnostic_signature, report_signature
 from repro.corpus.snippets import SNIPPETS, STABLE_SNIPPETS, snippet_by_name
+import repro.engine.cache as cache_module
 from repro.engine.cache import (
     SolverQueryCache,
     VERDICT_SAT,
@@ -25,7 +29,7 @@ from repro.engine.cache import (
 )
 from repro.engine.engine import CheckEngine, EngineConfig
 from repro.engine.workunit import WorkUnit, check_work_unit, escalate_config
-from repro.solver.terms import TermManager
+from repro.solver.terms import COMMUTATIVE_OPS, Op, TermManager
 
 
 def corpus_units(suffix="eq"):
@@ -130,6 +134,274 @@ def test_canonical_key_ignores_commutative_order_with_distinct_shapes():
     assert key(True) == key(False)
 
 
+def test_canonical_key_serialization_format_is_pinned():
+    # Without commutative operators the colors pick nothing, so the key is
+    # the SHA-256 of a fixed text; cache files rely on this format.
+    mgr = TermManager()
+    diff = mgr.bvsub(mgr.bv_var("f.x", 32), mgr.bv_var("f.y", 32))
+    low = mgr.bvult(mgr.extract(diff, 7, 0), mgr.bv_const(3, 8))
+    whole = mgr.bvult(diff, mgr.bv_const(0, 32))
+    blob = ("var:v0:bv32;var:v1:bv32;bvsub::n0,n1;extract:7,0:n2;"
+            "const:3:bv8;bvult::n3,n4;const:0:bv32;bvult::n2,n6|n5,n7")
+    assert canonical_query_key([low, whole]) == \
+        hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def test_canonical_key_classes_are_pinned_on_the_snippet_corpus(monkeypatch):
+    """Key classes on the 30-snippet corpus match the blake2b colouring's.
+
+    The lookup count, the distinct-key count and the partition digest (of
+    the sequence of first-seen class indices) were recorded with the
+    string-hashing colours the integer-mixed ones replaced: the keys split
+    into the same classes, so every cache hit is kept.  The key digest pins
+    the key bytes themselves; a change to it invalidates persisted cache
+    files and must be declared.
+    """
+    keys = []
+    original = cache_module.canonical_query_key
+
+    def recording(terms):
+        keys.append(original(terms))
+        return keys[-1]
+
+    monkeypatch.setattr(cache_module, "canonical_query_key", recording)
+    check_corpus(corpus_units("v"), config=CheckerConfig(solver_timeout=600.0),
+                 workers=0)
+    classes = {}
+    partition = [classes.setdefault(key, len(classes)) for key in keys]
+    digest = hashlib.sha256(json.dumps(partition, separators=(",", ":"))
+                            .encode("utf-8")).hexdigest()[:16]
+    assert (len(keys), len(classes), digest) == (382, 328, "7eb4314d4be1bc2b")
+    assert hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()[:16] \
+        == "72a0ca25e4c450f3"
+
+
+def reference_colors(terms):
+    """The blake2b string-hashing colouring the integer mixing replaced."""
+
+    def color(payload):
+        return int.from_bytes(hashlib.blake2b(
+            payload.encode("utf-8"), digest_size=8).digest(), "big")
+
+    order, seen = [], set()
+    for root in terms:
+        stack = [(root, False)]
+        while stack:
+            term, ready = stack.pop()
+            if ready:
+                order.append(term)
+            elif term.tid not in seen:
+                seen.add(term.tid)
+                stack.append((term, True))
+                stack.extend((arg, False) for arg in term.args)
+
+    def structural(term, colors, context):
+        sort = term.sort.kind if term.sort.is_bool() else f"bv{term.sort.width}"
+        if term.op is Op.VAR:
+            payload = f"var::{sort}"
+        elif term.op is Op.CONST:
+            payload = f"const:{term.attrs[0]}:{sort}"
+        else:
+            child = [colors[a.tid] for a in term.args]
+            if term.op in COMMUTATIVE_OPS:
+                child.sort()
+            attrs = ",".join(str(a) for a in term.attrs)
+            payload = f"{term.op.value}:{attrs}:{sort}:" \
+                      + ",".join(str(c) for c in child)
+        return color(f"{payload}@{context}")
+
+    mask = (1 << 64) - 1
+    colors = {}
+    for term in order:
+        colors[term.tid] = structural(term, colors, 0)
+    for _ in range(2):
+        context = {}
+        for index, root in enumerate(terms):
+            context[root.tid] = (context.get(root.tid, 0)
+                                 + color(f"root:{index}")) & mask
+        for term in reversed(order):
+            mine = color(f"{colors[term.tid]}@{context.get(term.tid, 0)}")
+            for position, arg in enumerate(term.args):
+                role = -1 if term.op in COMMUTATIVE_OPS else position
+                context[arg.tid] = (context.get(arg.tid, 0)
+                                    + color(f"ctx:{mine}:{role}")) & mask
+        for term in order:
+            colors[term.tid] = structural(term, colors,
+                                          context.get(term.tid, 0))
+    return colors
+
+
+def reference_key(terms):
+    return cache_module._serialized_key(terms, reference_colors(terms))
+
+
+def color_classes(colors):
+    """The node partition a colouring induces, as first-seen class indices."""
+    classes = {}
+    return [classes.setdefault(colors[tid], len(classes))
+            for tid in sorted(colors)]
+
+
+_BV_OPS = ("bvadd", "bvmul", "bvand", "bvor", "bvxor", "bvsub", "bvshl",
+           "bvudiv", "concat_low")
+_PREDICATES = ("eq", "bvult", "bvslt", "distinct")
+_CONNECTIVES = ("and_", "or_", "xor", "implies")
+
+
+@st.composite
+def query_recipes(draw):
+    """A random query DAG over 8-bit variables, as a build recipe.
+
+    Node ``i`` of the recipe may use any node before it, so operands are
+    shared freely; the roots are predicates and connectives over them.
+    """
+    leaves = [("var", index) for index in range(draw(st.integers(1, 4)))]
+    leaves += [("const", draw(st.integers(0, 255)))
+               for _ in range(draw(st.integers(0, 2)))]
+    nodes = list(leaves)
+    for _ in range(draw(st.integers(1, 10))):
+        op = draw(st.sampled_from(_BV_OPS + ("bvnot", "ite")))
+        pick = st.integers(0, len(nodes) - 1)
+        if op == "bvnot":
+            nodes.append((op, draw(pick)))
+        elif op == "ite":
+            nodes.append((op, draw(st.sampled_from(_PREDICATES)), draw(pick),
+                          draw(pick), draw(pick), draw(pick)))
+        else:
+            nodes.append((op, draw(pick), draw(pick)))
+    predicates = [(draw(st.sampled_from(_PREDICATES)),
+                   draw(st.integers(0, len(nodes) - 1)),
+                   draw(st.integers(0, len(nodes) - 1)))
+                  for _ in range(draw(st.integers(1, 4)))]
+    roots = []
+    for _ in range(draw(st.integers(1, 3))):
+        first = draw(st.integers(0, len(predicates) - 1))
+        second = draw(st.integers(0, len(predicates) - 1))
+        roots.append((draw(st.sampled_from(_CONNECTIVES + ("not_", "atom"))),
+                      first, second))
+    return nodes, predicates, roots
+
+
+def build_query(recipe, rng=None):
+    """Build ``recipe`` in a fresh manager.
+
+    With ``rng``, variables are renamed and created in shuffled order, the
+    rest of the DAG is created in a random topological order, and the
+    operands of every commutative call are swapped at random.
+    """
+    nodes, predicates, roots = recipe
+    mgr = TermManager()
+    built = {}
+    names = [f"f.arg.{i}" for i in range(len(nodes))]
+    if rng is not None:
+        names = [f"g.{i}.tmp" for i in rng.sample(range(len(nodes)),
+                                                  len(nodes))]
+    swap = (lambda: rng.random() < 0.5) if rng is not None else (lambda: False)
+
+    def call(name, first, second):
+        if name in ("bvadd", "bvmul", "bvand", "bvor", "bvxor", "eq",
+                    "distinct", "and_", "or_", "xor") and swap():
+            first, second = second, first
+        return getattr(mgr, name)(first, second)
+
+    def node(index):
+        if index in built:
+            return built[index]
+        spec = nodes[index]
+        operands = spec[2:] if spec[0] == "ite" else spec[1:]
+        if rng is not None and spec[0] not in ("var", "const"):
+            for operand in rng.sample(list(operands), len(operands)):
+                node(operand)
+        if spec[0] == "var":
+            term = mgr.bv_var(names[spec[1]], 8)
+        elif spec[0] == "const":
+            term = mgr.bv_const(spec[1], 8)
+        elif spec[0] == "bvnot":
+            term = mgr.bvnot(node(spec[1]))
+        elif spec[0] == "ite":
+            term = mgr.ite(call(spec[1], node(spec[2]), node(spec[3])),
+                           node(spec[4]), node(spec[5]))
+        elif spec[0] == "concat_low":
+            term = mgr.extract(mgr.concat(node(spec[1]), node(spec[2])), 11, 4)
+        else:
+            term = call(spec[0], node(spec[1]), node(spec[2]))
+        built[index] = term
+        return term
+
+    order = list(range(len(nodes)))
+    if rng is not None:
+        rng.shuffle(order)
+    for index in order:
+        node(index)
+    atoms = [call(name, node(a), node(b)) for name, a, b in predicates]
+    out = []
+    for name, first, second in roots:
+        if name == "atom":
+            out.append(atoms[first])
+        elif name == "not_":
+            out.append(mgr.not_(atoms[first]))
+        else:
+            out.append(call(name, atoms[first], atoms[second]))
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(recipe=query_recipes(), other=query_recipes(),
+       seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=2, max_size=2))
+def test_canonical_key_partition_matches_the_reference(recipe, other, seeds):
+    # Two shuffled, renamed, operand-swapped rebuilds of one query and an
+    # unrelated query: the integer-mixed colours must split them into
+    # exactly the classes the blake2b reference colouring does.
+    queries = [build_query(recipe)] \
+        + [build_query(recipe, random.Random(seed)) for seed in seeds] \
+        + [build_query(other)]
+    new = [canonical_query_key(query) for query in queries]
+    ref = [reference_key(query) for query in queries]
+    for i in range(len(queries)):
+        for j in range(i + 1, len(queries)):
+            assert (new[i] == new[j]) == (ref[i] == ref[j]), (i, j)
+    # Within each query, the colours tell apart exactly the same nodes.
+    for query in queries:
+        assert color_classes(cache_module._canonical_colors(query)) == \
+            color_classes(reference_colors(query))
+
+
+def test_canonical_key_is_independent_of_the_string_hash_seed():
+    """Keys must not depend on ``PYTHONHASHSEED`` (persisted caches)."""
+    import subprocess
+    import sys
+    import textwrap
+
+    import repro
+
+    script = textwrap.dedent("""
+        import repro.engine.cache as cache
+        from repro.api import check_source
+        from repro.corpus.snippets import SNIPPETS
+
+        keys = []
+        original = cache.canonical_query_key
+
+        def recording(terms):
+            keys.append(original(terms))
+            return keys[-1]
+
+        cache.canonical_query_key = recording
+        for snippet in SNIPPETS[:3]:
+            check_source(snippet.render("h"), cache=cache.SolverQueryCache())
+        print("\\n".join(keys))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    outputs = []
+    for hash_seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.split())
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 def test_alpha_renamed_functions_share_cache_entries():
     # End to end: checking two instances of one snippet template must
     # replay every verdict of the first instance from the cache.
@@ -181,6 +453,41 @@ def test_cache_never_downgrades_definitive_verdicts():
     cache.store("k", VERDICT_UNSAT, timeout=5.0)
     cache.store("k", VERDICT_UNKNOWN, timeout=60.0)
     assert cache.lookup("k") == VERDICT_UNSAT
+
+
+def _jsonl(path, *entries):
+    path.write_text("".join(json.dumps(entry) + "\n" for entry in entries))
+
+
+def test_cache_load_never_downgrades_definitive_verdicts(tmp_path):
+    # Appended or concatenated cache files can hold a definitive verdict
+    # and a later unknown for one key; loading must keep the verdict, and
+    # an unknown only replaces an unknown whose budget it covers.
+    path = tmp_path / "cache.jsonl"
+    _jsonl(path,
+           {"key": "k", "verdict": "unsat", "timeout": 5.0, "max_conflicts": 10},
+           {"key": "k", "verdict": "unknown", "timeout": 60.0,
+            "max_conflicts": 1000},
+           {"key": "u", "verdict": "unknown", "timeout": 10.0,
+            "max_conflicts": 1000},
+           {"key": "u", "verdict": "unknown", "timeout": 1.0, "max_conflicts": 10},
+           {"key": "w", "verdict": "unknown", "timeout": 1.0, "max_conflicts": 10},
+           {"key": "w", "verdict": "sat", "timeout": 1.0, "max_conflicts": 10})
+    cache = SolverQueryCache(path=str(path))
+    assert cache.lookup("k", timeout=60.0, max_conflicts=1000) == VERDICT_UNSAT
+    assert cache.lookup("u", timeout=10.0, max_conflicts=1000) == VERDICT_UNKNOWN
+    assert cache.lookup("w", timeout=60.0, max_conflicts=None) == VERDICT_SAT
+
+    seeded = SolverQueryCache()
+    seeded.seed(json.loads(line) for line in path.read_text().splitlines())
+    assert seeded.lookup("k", timeout=60.0, max_conflicts=1000) == VERDICT_UNSAT
+
+    # A flush re-reads the concatenated file under the same rule.
+    writer = SolverQueryCache()
+    writer.store("z", VERDICT_SAT)
+    assert writer.flush(str(path)) == 1
+    assert SolverQueryCache(path=str(path)).lookup(
+        "k", timeout=60.0, max_conflicts=1000) == VERDICT_UNSAT
 
 
 def test_cache_lru_eviction():

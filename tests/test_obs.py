@@ -360,9 +360,12 @@ class TestProfile:
         root.dur = 3.0
         query = root.child("solver.query")
         query.dur = 1.0
+        key = query.child("query.cache_key", detail=True)
+        key.dur = 0.25
         stage = root.child("stage2.encode")
         stage.dur = 0.5
         split = time_split(root)
+        # The cache key's detail span stays in the solver bucket.
         assert split["solver"] == pytest.approx(1.0)
         assert split["encode"] == pytest.approx(0.5)
 
@@ -415,3 +418,25 @@ class TestPipelineSpans:
         # Latency histograms came along for free.
         assert tracer.metrics.histogram("latency.solver.query").count \
             == len(queries)
+
+    def test_cache_key_is_a_detail_span_under_the_query(self):
+        # With a query cache attached, every query computes its content
+        # address inside a query.cache_key detail span: profiled, but never
+        # part of span identity (only cached runs compute keys).
+        from repro.engine.cache import SolverQueryCache
+
+        tracer = Tracer()
+        with tracing(tracer):
+            check_source(UNSTABLE, config=CheckerConfig(trace=True),
+                         cache=SolverQueryCache())
+        queries = [n for n in tracer.root.walk() if n.name == "solver.query"]
+        keyed = [q for q in queries
+                 if any(c.name == "query.cache_key" for c in q.children)]
+        assert queries and keyed == queries
+        keys = [n for n in tracer.root.walk() if n.name == "query.cache_key"]
+        assert len(keys) == len(queries) and all(n.detail for n in keys)
+        identity_names = {p["name"] for p in span_payloads(tracer.root)}
+        assert "query.cache_key" not in identity_names
+        assert "solver.query" in identity_names
+        assert tracer.metrics.histogram("latency.query.cache_key").count \
+            == len(keys)
