@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.classify import classify_all
 from repro.core.elimination import EliminationFinding, run_elimination
@@ -102,20 +102,12 @@ class CheckerConfig:
     #: per cluster, and propagate solver-confirmed verdicts to the other
     #: members (docs/CLUSTER.md).
     cluster: bool = False
-    #: Route solver queries through one named backend ("builtin", "pysat",
-    #: "dimacs"); None keeps the direct in-process CDCL path
-    #: (docs/SOLVER.md).
-    backend: Optional[str] = None
-    #: Race several named backends per query and take the first definitive
-    #: answer (ties break by order; unavailable members are dropped).
-    #: Mutually exclusive with ``backend``.
-    portfolio: Sequence[str] = ()
     #: Record hierarchical spans + metrics for every stage and solver query
     #: (repro.obs; CLI: ``--trace OUT.json``).  Span identities are
     #: deterministic — see docs/OBSERVABILITY.md.
     trace: bool = False
     #: Record every solver query slower than this many milliseconds (key,
-    #: backend, verdict, duration) on ``UnitResult.slow_queries`` — the serve
+    #: verdict, duration) on ``UnitResult.slow_queries`` — the serve
     #: daemon's slow-query log (docs/OBSERVABILITY.md).  None disables the
     #: recorder entirely.
     slow_query_ms: Optional[float] = None
@@ -187,9 +179,7 @@ class StackChecker:
             engine = QueryEngine(encoder, timeout=self.config.solver_timeout,
                                  max_conflicts=self.config.max_conflicts,
                                  cache=self.query_cache,
-                                 incremental=self.config.incremental,
-                                 backend=self.config.backend,
-                                 portfolio=self.config.portfolio)
+                                 incremental=self.config.incremental)
         result = FunctionReport(function=function.name)
 
         elimination_findings: List[EliminationFinding] = []
@@ -295,7 +285,6 @@ class StackChecker:
         result.solver_time = solver_stats.total_time
         result.oracle_sat = solver_stats.oracle_sat
         result.oracle_unsat = solver_stats.oracle_unsat
-        result.backend_wins = dict(solver_stats.backend_wins)
         result.analysis_time = time.monotonic() - started
         return result
 

@@ -154,9 +154,7 @@ class QueryContext:
                 elapsed = solver.stats.total_time - before
             else:
                 solver = Solver(engine.encoder.manager, timeout=engine.timeout,
-                                max_conflicts=engine.max_conflicts,
-                                backend=engine.backend,
-                                portfolio=engine.portfolio)
+                                max_conflicts=engine.max_conflicts)
                 for term in goal:
                     solver.add(term)
                 result = solver.check()
@@ -169,9 +167,7 @@ class QueryContext:
                 engine.cache.store(key, verdict, timeout=engine.timeout,
                                    max_conflicts=engine.max_conflicts,
                                    elapsed=elapsed)
-            note_query(key, verdict, elapsed,
-                       engine.backend or (",".join(engine.portfolio)
-                                          if engine.portfolio else "builtin"))
+            note_query(key, verdict, elapsed)
             query_span.set_arg("verdict", verdict)
             return engine._record(verdict)
 
@@ -191,16 +187,12 @@ class QueryEngine:
     def __init__(self, encoder: FunctionEncoder, timeout: Optional[float] = 5.0,
                  max_conflicts: Optional[int] = 50_000,
                  cache: Optional["SolverQueryCache"] = None,
-                 incremental: bool = True,
-                 backend: Optional[str] = None,
-                 portfolio: Sequence[str] = ()) -> None:
+                 incremental: bool = True) -> None:
         self.encoder = encoder
         self.timeout = timeout
         self.max_conflicts = max_conflicts
         self.cache = cache
         self.incremental = incremental
-        self.backend = backend
-        self.portfolio = tuple(portfolio)
         self.stats = QueryStats()
         self._shared_solver: Optional[Solver] = None
         self._scratch_stats = SolverStats()
@@ -233,9 +225,7 @@ class QueryEngine:
             self._shared_solver = Solver(self.encoder.manager,
                                          timeout=self.timeout,
                                          max_conflicts=self.max_conflicts,
-                                         incremental=True,
-                                         backend=self.backend,
-                                         portfolio=self.portfolio)
+                                         incremental=True)
         return self._shared_solver
 
     @property

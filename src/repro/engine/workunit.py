@@ -75,7 +75,7 @@ class UnitResult:
     #: populated by the engine from ``meta["obs"]`` before sink writes.
     trace: Optional[dict] = None
     #: Solver queries over ``CheckerConfig.slow_query_ms``, as JSON-safe
-    #: dicts (key, backend, verdict, duration_ms).  Deliberately a dedicated
+    #: dicts (key, verdict, duration_ms).  Deliberately a dedicated
     #: field rather than a ``meta`` entry: ``meta`` is serialized into the
     #: deterministic JSONL unit records, and slow-query timings are
     #: wall-clock — they must stay out-of-band (docs/OBSERVABILITY.md).

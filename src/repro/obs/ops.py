@@ -24,8 +24,7 @@ wires together (docs/OBSERVABILITY.md, "Operating the daemon"):
   layer feeds (:mod:`repro.core.queries` calls :func:`note_query`, one
   global read when off).  Workers collect the records per unit
   (``UnitResult.slow_queries``) and the daemon turns them into
-  ``slow-query`` log events with the query key, backend, verdict, and
-  duration.
+  ``slow-query`` log events with the query key, verdict, and duration.
 """
 
 from __future__ import annotations
@@ -227,7 +226,7 @@ class SlowQueryRecorder:
     :func:`repro.engine.workunit.check_work_unit` when
     ``CheckerConfig.slow_query_ms`` is set; :mod:`repro.core.queries`
     feeds it via :func:`note_query`.  Records are JSON-safe dicts —
-    ``{"key", "backend", "verdict", "duration_ms"}`` — and deliberately
+    ``{"key", "verdict", "duration_ms"}`` — and deliberately
     ride on :class:`~repro.engine.workunit.UnitResult` *outside* ``meta``,
     so they can never leak into the deterministic JSONL unit records.
     """
@@ -238,8 +237,7 @@ class SlowQueryRecorder:
         self.records: List[Dict[str, Any]] = []
         self.dropped = 0
 
-    def note(self, key: Optional[str], verdict: Any, elapsed: float,
-             backend: str) -> None:
+    def note(self, key: Optional[str], verdict: Any, elapsed: float) -> None:
         duration_ms = elapsed * 1000.0
         if duration_ms < self.threshold_ms:
             return
@@ -248,7 +246,6 @@ class SlowQueryRecorder:
             return
         self.records.append({
             "key": key or "",
-            "backend": backend,
             "verdict": "unknown" if verdict is None else str(verdict),
             "duration_ms": round(duration_ms, 3),
         })
@@ -275,9 +272,8 @@ def restore_slow_queries(previous: Optional[SlowQueryRecorder]) -> None:
     _ACTIVE_SLOW = previous
 
 
-def note_query(key: Optional[str], verdict: Any, elapsed: float,
-               backend: str) -> None:
+def note_query(key: Optional[str], verdict: Any, elapsed: float) -> None:
     """Feed one solved query to the active recorder (no-op when off)."""
     recorder = _ACTIVE_SLOW
     if recorder is not None:
-        recorder.note(key, verdict, elapsed, backend)
+        recorder.note(key, verdict, elapsed)

@@ -14,12 +14,10 @@ vectors (QF_BV).  This package provides a self-contained replacement:
   memoized per hash-consed term id.
 * :mod:`repro.solver.sat` — an incremental CDCL SAT solver (two-watched
   literals, VSIDS, restarts, assumptions, per-call budgets).
+* :mod:`repro.solver.oracle` — CNF-free pre-answers (constant folding and
+  verified concrete guesses) that decide easy queries before bit-blasting.
 * :mod:`repro.solver.solver` — the :class:`Solver` facade with assertion
   stacks, models and per-query timeouts.
-* :mod:`repro.solver.backends` — pluggable SAT backends behind the facade
-  (in-process CDCL, python-sat, external DIMACS binaries), the oracle
-  pre-answer chain, and the portfolio racer
-  (``Solver(backend=...)`` / ``Solver(portfolio=...)``).
 
 The public API mirrors the small subset of an SMT solver API that STACK
 needs: build terms via :class:`TermManager`, assert them on a
@@ -44,13 +42,6 @@ from repro.solver.terms import (
     TermManager,
 )
 from repro.solver.sat import SatResult, SatSolver
-from repro.solver.backends import (
-    BACKENDS,
-    PortfolioSolver,
-    SolverBackend,
-    available_backends,
-    create_backend,
-)
 from repro.solver.solver import (
     CheckResult,
     Model,
@@ -60,22 +51,17 @@ from repro.solver.solver import (
 )
 
 __all__ = [
-    "BACKENDS",
     "BV",
     "BOOL",
     "CheckResult",
     "Model",
     "Op",
-    "PortfolioSolver",
     "SatResult",
     "SatSolver",
     "Solver",
-    "SolverBackend",
     "SolverStats",
     "Sort",
     "Term",
     "TermManager",
-    "available_backends",
-    "create_backend",
     "is_unsat",
 ]

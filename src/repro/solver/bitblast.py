@@ -82,7 +82,7 @@ class BitBlaster:
     def known_bv_variables(self) -> Dict[str, List[int]]:
         # Name-sorted so model extraction and exported variable maps are
         # stable regardless of the order in which terms were encoded —
-        # required for byte-comparable cross-backend/cross-run output.
+        # required for byte-comparable cross-run output.
         return {name: self._var_bits[name] for name in sorted(self._var_bits)}
 
     def known_bool_variables(self) -> Dict[str, int]:

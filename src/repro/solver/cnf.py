@@ -5,104 +5,21 @@ offers Tseitin-style gate encodings over SAT literals.  Literals follow the
 DIMACS convention (positive/negative ints); the special constants ``TRUE``
 and ``FALSE`` are represented by a dedicated root-level variable so that gate
 encoders never need to special-case them.
-
-With ``record=True`` the builder additionally keeps every emitted clause in
-:attr:`CnfBuilder.clauses`, which is how the solver backends
-(:mod:`repro.solver.backends`) are fed: external engines receive the exact
-clause stream the in-process solver saw.  :func:`emit_dimacs` /
-:func:`parse_dimacs` convert that stream to and from DIMACS text with a
-*stable, sorted variable numbering* — variables are renumbered ``1..n`` in
-ascending order of their original index and literals are sorted within each
-clause — so two runs that blast the same terms export byte-identical files
-(the property the cross-backend differential suite diffs on).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence
 
 from repro.solver.sat import SatSolver
-
-
-def emit_dimacs(clauses: Sequence[Sequence[int]],
-                num_vars: Optional[int] = None,
-                comment: Optional[str] = None,
-                canonical: bool = True) -> str:
-    """Render clauses as DIMACS CNF text with canonical numbering.
-
-    With ``canonical=True`` variables are renumbered ``1..n`` by ascending
-    original index; either way the literals of each clause are sorted by
-    (variable, polarity) and clause order is preserved.  Canonical output
-    is therefore byte-identical across runs and across allocation gaps,
-    which makes exported queries comparable between backends and between
-    runs.  ``canonical=False`` keeps the original numbering — used when
-    the produced model must be read back in the caller's variable space
-    (the ``dimacs`` backend's solving path).
-    """
-    used = sorted({abs(lit) for clause in clauses for lit in clause})
-    if canonical:
-        remap = {var: index + 1 for index, var in enumerate(used)}
-        if num_vars is None:
-            num_vars = len(used)
-    else:
-        remap = {var: var for var in used}
-        if num_vars is None:
-            num_vars = used[-1] if used else 0
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"c {part}")
-    lines.append(f"p cnf {num_vars} {len(clauses)}")
-    for clause in clauses:
-        mapped = sorted(
-            ((1 if lit > 0 else -1) * remap[abs(lit)] for lit in clause),
-            key=lambda lit: (abs(lit), lit < 0))
-        lines.append(" ".join(str(lit) for lit in mapped) + " 0")
-    return "\n".join(lines) + "\n"
-
-
-def parse_dimacs(text: str) -> Tuple[int, List[List[int]]]:
-    """Parse DIMACS CNF text into ``(num_vars, clauses)``.
-
-    Tolerates comments, blank lines, and clauses spanning multiple lines
-    (terminated by ``0``, per the format).
-    """
-    num_vars = 0
-    clauses: List[List[int]] = []
-    current: List[int] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) < 4 or parts[1] != "cnf":
-                raise ValueError(f"malformed DIMACS problem line: {line!r}")
-            num_vars = int(parts[2])
-            continue
-        for token in line.split():
-            lit = int(token)
-            if lit == 0:
-                clauses.append(current)
-                current = []
-            else:
-                current.append(lit)
-                num_vars = max(num_vars, abs(lit))
-    if current:
-        clauses.append(current)
-    return num_vars, clauses
 
 
 class CnfBuilder:
     """Builds CNF clauses incrementally on top of a SAT solver."""
 
-    def __init__(self, sat: SatSolver, record: bool = False) -> None:
+    def __init__(self, sat: SatSolver) -> None:
         self.sat = sat
         self.num_clauses = 0
-        #: Verbatim clause stream (only populated with ``record=True``);
-        #: append-only, so backends can consume it with a cursor.
-        self.clauses: List[List[int]] = []
-        self._record = record
         # A variable constrained to true; its negation encodes false.
         self._true = sat.new_var()
         self.add_clause([self._true])
@@ -122,9 +39,7 @@ class CnfBuilder:
 
     def add_clause(self, lits: Sequence[int]) -> None:
         self.num_clauses += 1
-        if self._record:
-            self.clauses.append(list(lits))
-        self.sat.add_clause(list(lits))
+        self.sat.add_clause(lits)
 
     # -- constant handling ----------------------------------------------------
 

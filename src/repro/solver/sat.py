@@ -57,7 +57,6 @@ own verdict checks first.
 from __future__ import annotations
 
 import enum
-import threading
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -486,16 +485,12 @@ class SatSolver:
         assumptions: Sequence[int] = (),
         max_conflicts: Optional[int] = None,
         timeout: Optional[float] = None,
-        stop: Optional["threading.Event"] = None,
     ) -> SatResult:
         """Decide satisfiability under optional assumptions and budgets.
 
         ``max_conflicts`` and ``timeout`` are budgets for *this call*; the
         cumulative ``conflicts`` counter keeps growing across calls.
-        ``stop`` is an optional :class:`threading.Event`: setting it from
-        another thread makes the loop return UNKNOWN at the next decision
-        point with the solver left reusable — how a portfolio race cancels
-        a losing backend.
+        Exhausting either returns UNKNOWN with the solver left reusable.
         """
         self.failed_assumption = None
         if not self.ok:
@@ -539,9 +534,6 @@ class SatSolver:
                 continue
 
             if deadline is not None and time.monotonic() > deadline:
-                self._cancel_until(0)
-                return SatResult.UNKNOWN
-            if stop is not None and stop.is_set():
                 self._cancel_until(0)
                 return SatResult.UNKNOWN
             if max_conflicts is not None and \

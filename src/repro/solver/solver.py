@@ -22,18 +22,9 @@ Two operating modes exist:
 
 Both modes share the same pre-pass: the asserted conjunction is structurally
 simplified (deciding many queries outright) and the oracle chain
-(:mod:`repro.solver.backends.oracle`) tries a handful of concrete
-assignments before any bit-blasting happens.
-
-Queries that survive the pre-pass are decided either by the in-process CDCL
-engine directly (``backend=None``, the default) or by the pluggable backend
-layer (:mod:`repro.solver.backends`): ``backend="pysat"`` routes every query
-through one named backend, ``portfolio=("builtin", "pysat")`` races several
-on the same bit-blasted CNF and takes the first definitive answer.  Backends
-must agree on verdicts — models may differ (any satisfying assignment is
-acceptable), and failed-assumption attribution in backend mode is uniformly
-coarse (every per-call term is blamed), keeping diagnostics byte-identical
-across backends.
+(:mod:`repro.solver.oracle`) tries a handful of concrete assignments before
+any bit-blasting happens.  Queries that survive the pre-pass are bit-blasted
+and decided by the in-process CDCL engine (:mod:`repro.solver.sat`).
 """
 
 from __future__ import annotations
@@ -45,12 +36,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import (MetricsRegistry, absorb_dataclass,
                                merge_counter_dataclass)
-from repro.obs.trace import detail_span, span
-from repro.solver.backends import (BuiltinBackend, PortfolioAnswer,
-                                   PortfolioSolver, create_backend, preanswer,
-                                   resolve_portfolio)
+from repro.obs.trace import detail_span
 from repro.solver.bitblast import BitBlaster
 from repro.solver.cnf import CnfBuilder
+from repro.solver.oracle import preanswer
 from repro.solver.sat import SatResult, SatSolver
 from repro.solver.simplify import simplify
 from repro.solver.terms import Op, Term, TermManager, collect_variables
@@ -83,8 +72,6 @@ class SolverStats:
 
     oracle_sat: int = 0           # queries decided SAT by the oracle pre-pass
     oracle_unsat: int = 0         # queries decided UNSAT by constant folding
-    #: Definitive answers credited per backend name (backend mode only).
-    backend_wins: Dict[str, int] = field(default_factory=dict)
 
     sat_calls: int = 0            # queries that reached the CDCL loop
     restarts: int = 0             # CDCL restarts across those calls
@@ -111,16 +98,15 @@ class SolverStats:
         """Accumulate another stats block into this one.
 
         Reflection-based (:func:`repro.obs.metrics.merge_counter_dataclass`):
-        every numeric field adds and ``backend_wins`` adds per key, so a
-        counter added to this dataclass later can never be silently dropped
-        (``tests/test_stats_merge.py`` guards this).
+        every numeric field adds, so a counter added to this dataclass later
+        can never be silently dropped (``tests/test_stats_merge.py`` guards
+        this).
         """
         merge_counter_dataclass(self, other)
 
     def registry(self) -> MetricsRegistry:
         """These counters lifted into the unified metrics registry
-        (``solver.<field>`` counters, ``solver.backend_wins.<name>``
-        labeled counters)."""
+        (``solver.<field>`` counters)."""
         registry = MetricsRegistry()
         return absorb_dataclass(registry, "solver", self)
 
@@ -131,9 +117,6 @@ class SolverStats:
         """
         reg = self.registry()
         count = reg.counter
-        wins = {name[len("solver.backend_wins."):]: int(value)
-                for name, value in reg.counters.items()
-                if name.startswith("solver.backend_wins.")}
         return {
             "queries": int(count("solver.queries")),
             "sat": int(count("solver.sat")),
@@ -152,7 +135,6 @@ class SolverStats:
             "assumption_failures": int(count("solver.assumption_failures")),
             "oracle_sat": int(count("solver.oracle_sat")),
             "oracle_unsat": int(count("solver.oracle_unsat")),
-            "backend_wins": dict(sorted(wins.items())),
         }
 
 
@@ -214,16 +196,6 @@ class Solver:
         are retained, bit-blasted encodings are memoized per hash-consed
         term id, and push/pop is implemented with activation literals.  A
         budget-exhausted (UNKNOWN) query leaves the solver reusable.
-    backend:
-        Route queries through one named backend from
-        :data:`repro.solver.backends.BACKENDS` ("builtin", "pysat",
-        "dimacs").  Naming an unavailable backend raises.  ``None`` (the
-        default) keeps the direct in-process CDCL path.
-    portfolio:
-        Race several named backends per query; the first definitive
-        SAT/UNSAT answer wins, ties break by configured order.  Unavailable
-        members are dropped silently (falling back to "builtin" when none
-        remain).  Mutually exclusive with ``backend``.
     """
 
     def __init__(
@@ -232,11 +204,7 @@ class Solver:
         timeout: Optional[float] = 5.0,
         max_conflicts: Optional[int] = 200_000,
         incremental: bool = False,
-        backend: Optional[str] = None,
-        portfolio: Sequence[str] = (),
     ) -> None:
-        if backend is not None and portfolio:
-            raise ValueError("pass either backend= or portfolio=, not both")
         self.manager = manager if manager is not None else TermManager()
         self.timeout = timeout
         self.max_conflicts = max_conflicts
@@ -245,23 +213,11 @@ class Solver:
         self._frames: List[_Frame] = [_Frame()]
         self._last_model: Optional[Model] = None
         self._failed_assumptions: List[Term] = []
-        # Backend routing: None means the legacy direct-CDCL paths.
-        self._backend_names: Optional[List[str]] = None
-        if portfolio:
-            self._backend_names = resolve_portfolio(portfolio)
-        elif backend is not None:
-            self._backend_names = resolve_portfolio([backend], strict=True)
         # Persistent engines (incremental mode), created on first use.
         self._sat: Optional[SatSolver] = None
         self._cnf: Optional[CnfBuilder] = None
         self._blaster: Optional[BitBlaster] = None
-        self._portfolio: Optional[PortfolioSolver] = None
         self._simplified: Dict[int, Term] = {}
-
-    @property
-    def backend_names(self) -> Optional[List[str]]:
-        """Resolved backend order, or None in legacy direct mode."""
-        return list(self._backend_names) if self._backend_names else None
 
     # -- assertion stack --------------------------------------------------------
 
@@ -314,9 +270,6 @@ class Solver:
         self._sat = None
         self._cnf = None
         self._blaster = None
-        if self._portfolio is not None:
-            self._portfolio.close()
-        self._portfolio = None
         self._simplified = {}
 
     # -- checking ----------------------------------------------------------------
@@ -376,14 +329,7 @@ class Solver:
                               simplified=True)
             return CheckResult.UNSAT
 
-        if self._backend_names is not None:
-            if self.incremental:
-                result = self._check_backend_incremental(
-                    deltas, effective_timeout, start)
-            else:
-                result = self._check_backend_scratch(
-                    conjunction, terms, deltas, effective_timeout, start)
-        elif self.incremental:
+        if self.incremental:
             result = self._check_incremental(deltas, effective_timeout, start)
         else:
             result = self._check_scratch(conjunction, terms, deltas,
@@ -445,10 +391,7 @@ class Solver:
     def _ensure_engines(self) -> None:
         if self._sat is None:
             self._sat = SatSolver()
-            # Backend mode records the clause stream so external engines
-            # receive exactly the CNF the in-process solver saw.
-            self._cnf = CnfBuilder(self._sat,
-                                   record=self._backend_names is not None)
+            self._cnf = CnfBuilder(self._sat)
             self._blaster = BitBlaster(self._cnf)
 
     def _simplify_term(self, term: Term) -> Term:
@@ -522,118 +465,6 @@ class Solver:
         self._last_model = None
         return CheckResult.UNKNOWN
 
-    # -- backend mode --------------------------------------------------------------
-
-    def _make_portfolio(self, sat: SatSolver) -> PortfolioSolver:
-        """Instantiate the configured backends around a SAT instance.
-
-        The "builtin" member wraps ``sat`` directly — the CnfBuilder feeds
-        it clause by clause as they are produced, so the recorded stream is
-        not replayed into it; every other member consumes the recording via
-        :meth:`PortfolioSolver.feed`.
-        """
-        members = []
-        for name in self._backend_names:
-            if name == "builtin":
-                members.append(BuiltinBackend(sat=sat))
-            else:
-                members.append(create_backend(name))
-        return PortfolioSolver(members)
-
-    def _check_backend_scratch(self, conjunction: Term, terms: Sequence[Term],
-                               deltas: Sequence[Term],
-                               effective_timeout: Optional[float],
-                               start: float) -> CheckResult:
-        sat = SatSolver()
-        cnf = CnfBuilder(sat, record=True)
-        blaster = BitBlaster(cnf)
-        with detail_span("solver.blast"):
-            blaster.assert_term(conjunction)
-
-        portfolio = self._make_portfolio(sat)
-        try:
-            portfolio.feed(sat.num_vars, cnf.clauses)
-            remaining = None
-            if effective_timeout is not None:
-                remaining = max(0.0,
-                                effective_timeout - (time.monotonic() - start))
-            # The race winner stays out of the span args on purpose: it is
-            # thread-timing dependent, and span identities must not be
-            # (wins are still counted in SolverStats.backend_wins).
-            with span("solver.race"):
-                answer = portfolio.solve(max_conflicts=self.max_conflicts,
-                                         timeout=remaining)
-        finally:
-            portfolio.close()
-        self._account_backend_work(answer, cnf, blaster, 0, 0)
-        return self._apply_backend_answer(answer, blaster, terms, deltas)
-
-    def _check_backend_incremental(self, deltas: Sequence[Term],
-                                   effective_timeout: Optional[float],
-                                   start: float) -> CheckResult:
-        self._ensure_engines()
-        sat, cnf, blaster = self._sat, self._cnf, self._blaster
-        clauses0 = cnf.num_clauses
-        hits0 = blaster.cache_hits
-
-        with detail_span("solver.blast"):
-            self._encode_pending()
-            delta_lits = [blaster.blast_bool(self._simplify_term(term))
-                          for term in deltas]
-        assume = [frame.act for frame in self._frames if frame.act is not None]
-        assume.extend(delta_lits)
-
-        if self._portfolio is None:
-            self._portfolio = self._make_portfolio(sat)
-        # Deliver clauses appended since the last check (cursor-sliced), so
-        # persistent external members stay incremental too.
-        self._portfolio.feed(sat.num_vars, cnf.clauses)
-
-        remaining = None
-        if effective_timeout is not None:
-            remaining = max(0.0,
-                            effective_timeout - (time.monotonic() - start))
-        with span("solver.race"):
-            answer = self._portfolio.solve(assume,
-                                           max_conflicts=self.max_conflicts,
-                                           timeout=remaining)
-        self._account_backend_work(answer, cnf, blaster, clauses0, hits0)
-        return self._apply_backend_answer(answer, blaster,
-                                          self.assertions() + list(deltas),
-                                          deltas)
-
-    def _apply_backend_answer(self, answer: PortfolioAnswer,
-                              blaster: BitBlaster, terms: Sequence[Term],
-                              deltas: Sequence[Term]) -> CheckResult:
-        if answer.result is SatResult.SAT:
-            self._last_model = self._extract_model(answer.model_value,
-                                                   blaster, terms)
-            return CheckResult.SAT
-        if answer.result is SatResult.UNSAT:
-            self._last_model = None
-            # Uniform coarse attribution: every per-call term is blamed,
-            # independently of which backend answered and of any core it
-            # reported — the cross-backend identity contract.
-            self._note_failure(deltas)
-            return CheckResult.UNSAT
-        self._last_model = None
-        return CheckResult.UNKNOWN
-
-    def _account_backend_work(self, answer: PortfolioAnswer, cnf: CnfBuilder,
-                              blaster: BitBlaster, clauses0: int,
-                              hits0: int) -> None:
-        self.stats.sat_calls += 1
-        work = answer.answer.stats if answer.answer is not None else {}
-        self.stats.restarts += work.get("restarts", 0)
-        self.stats.conflicts += work.get("conflicts", 0)
-        self.stats.decisions += work.get("decisions", 0)
-        self.stats.propagations += work.get("propagations", 0)
-        self.stats.blasted_clauses += cnf.num_clauses - clauses0
-        self.stats.blast_hits += blaster.cache_hits - hits0
-        if answer.winner is not None:
-            self.stats.backend_wins[answer.winner] = \
-                self.stats.backend_wins.get(answer.winner, 0) + 1
-
     # -- stats / failure bookkeeping ---------------------------------------------
 
     def _account_sat_work(self, sat: SatSolver, cnf: CnfBuilder,
@@ -670,11 +501,7 @@ class Solver:
         blaster: BitBlaster,
         terms: Sequence[Term],
     ) -> Model:
-        """Rebuild named values from ``model_value`` (a var → bool callable).
-
-        Works over any backend's assignment — the builtin solver's
-        ``model_value`` method or a :class:`PortfolioAnswer`'s.
-        """
+        """Rebuild named values from ``model_value`` (a var → bool callable)."""
         values: Dict[str, int] = {}
         for name, bits in blaster.known_bv_variables().items():
             value = 0

@@ -295,26 +295,25 @@ def test_ops_emit_dump_writes_flight_record(tmp_path):
 
 def test_slow_query_recorder_threshold_and_capacity():
     recorder = SlowQueryRecorder(threshold_ms=10.0, capacity=2)
-    recorder.note("k1", True, 0.005, "builtin")      # 5ms: under threshold
-    recorder.note("k2", False, 0.02, "builtin")
-    recorder.note("k3", None, 0.5, "pysat")
-    recorder.note("k4", True, 0.9, "builtin")        # over capacity
+    recorder.note("k1", True, 0.005)                 # 5ms: under threshold
+    recorder.note("k2", False, 0.02)
+    recorder.note("k3", None, 0.5)
+    recorder.note("k4", True, 0.9)                   # over capacity
     assert [r["key"] for r in recorder.records] == ["k2", "k3"]
     assert recorder.records[0]["duration_ms"] == 20.0
     assert recorder.records[1]["verdict"] == "unknown"
-    assert recorder.records[1]["backend"] == "pysat"
     assert recorder.dropped == 1
 
 
 def test_note_query_is_a_noop_when_inactive():
-    note_query("key", True, 10.0, "builtin")         # must not raise
+    note_query("key", True, 10.0)                    # must not raise
     recorder = SlowQueryRecorder(threshold_ms=0.0)
     previous = activate_slow_queries(recorder)
     try:
-        note_query("key", True, 0.001, "builtin")
+        note_query("key", True, 0.001)
     finally:
         restore_slow_queries(previous)
-    note_query("key2", True, 10.0, "builtin")        # inactive again
+    note_query("key2", True, 10.0)                   # inactive again
     assert [r["key"] for r in recorder.records] == ["key"]
 
 
@@ -324,8 +323,7 @@ def test_check_work_unit_collects_slow_queries():
     assert result.ok
     assert result.slow_queries
     for record in result.slow_queries:
-        assert set(record) == {"key", "backend", "verdict", "duration_ms"}
-        assert record["backend"] == "builtin"
+        assert set(record) == {"key", "verdict", "duration_ms"}
         assert record["duration_ms"] >= 0.0
     # Out-of-band by construction: nothing leaked into meta / the record.
     assert "slow_queries" not in result.meta

@@ -94,8 +94,9 @@ def test_checker_overrides_are_whitelisted():
         base, {"solver_timeout": 1.5, "max_conflicts": 10})
     assert updated.solver_timeout == 1.5 and updated.max_conflicts == 10
     assert protocol.checker_from_wire(base, None) is base
-    with pytest.raises(protocol.ProtocolError):
-        protocol.checker_from_wire(base, {"backend": "pysat"})
+    # ``backend`` is no CheckerConfig field: rejected as an unknown key.
+    with pytest.raises(protocol.ProtocolError, match="not allowed"):
+        protocol.checker_from_wire(base, {"backend": "builtin"})
     with pytest.raises(protocol.ProtocolError):
         protocol.checker_from_wire(base, {"no_such_field": 1})
 

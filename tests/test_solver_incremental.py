@@ -7,16 +7,18 @@ Covers the edge cases the incremental refactor introduces:
 * UNSAT-core-free assumption failure reporting,
 * budget exhaustion mid-run leaving the solver reusable,
 * determinism: incremental checking returns verdicts identical to scratch
-  solving on the snippet corpus.
+  solving on the snippet corpus, and every captured checker query replays
+  to the same verdict through both solver modes.
 """
 
 import pytest
 
 from repro.api import check_source
 from repro.core.checker import CheckerConfig, StackChecker
+from repro.core.queries import QueryContext
 from repro.core.report import report_signature
 from repro.corpus.snippets import SNIPPETS, STABLE_SNIPPETS
-from repro.solver import CheckResult, Solver, TermManager
+from repro.solver import CheckResult, Solver, TermManager, is_unsat
 
 WIDTH = 8
 
@@ -264,6 +266,66 @@ def test_incremental_matches_scratch_on_snippet_corpus():
         assert incr.timeouts == scratch.timeouts == 0, snippet.name
 
 
+def _capture_queries(source):
+    """Record the (manager, base, deltas) of every query one run issues."""
+    captured = []
+    original = QueryContext.is_unsat
+
+    def spy(self, deltas=()):
+        captured.append((self.engine.encoder.manager, list(self.base),
+                         list(deltas)))
+        return original(self, deltas)
+
+    QueryContext.is_unsat = spy
+    try:
+        check_source(source, config=CheckerConfig(solver_timeout=60.0))
+    finally:
+        QueryContext.is_unsat = original
+    return captured
+
+
+def test_query_replay_scratch_matches_incremental():
+    """Each captured query, replayed through a scratch solver and through
+    one persistent incremental solver per function: same verdict, verified
+    models, and failure reports that blame only per-call terms."""
+    queries = []
+    for snippet in SNIPPETS[:4]:
+        queries.extend(_capture_queries(snippet.render("replay")))
+    assert queries, "the baseline run issued no solver queries"
+    shared = {}
+    narrowed = 0
+    for manager, base, deltas in queries:
+        scratch = Solver(manager, timeout=60.0)
+        for term in base:
+            scratch.add(term)
+        incremental = shared.setdefault(
+            id(manager), Solver(manager, timeout=60.0, incremental=True))
+        frame = incremental.push()
+        for term in base:
+            incremental.add(term)
+
+        results = [solver.check(assumptions=deltas)
+                   for solver in (scratch, incremental)]
+        assert results[0] is results[1]
+        conjunction = manager.and_(*base, *deltas)
+        if results[0] is CheckResult.SAT:
+            for solver in (scratch, incremental):
+                assert manager.evaluate(conjunction, solver.model().as_dict())
+        elif results[0] is CheckResult.UNSAT:
+            # Scratch blames every per-call term; incremental narrows to
+            # the terms behind the refuted assumption literal, or to none
+            # when the asserted frames alone are inconsistent.
+            assert scratch.failed_assumptions() == deltas
+            failed = incremental.failed_assumptions()
+            assert all(any(term is delta for delta in deltas)
+                       for term in failed)
+            if not failed:
+                assert is_unsat(manager, *base, timeout=60.0)
+            narrowed += len(failed) < len(deltas)
+        incremental.pop(frame)
+    assert narrowed, "no replay exercised the incremental narrowing"
+
+
 def test_incremental_stats_reach_function_report():
     config = CheckerConfig(solver_timeout=60.0)
     report = check_source(SNIPPETS[0].render("stats"), config=config)
@@ -303,79 +365,6 @@ class TestFailureAttribution:
         bad = mgr.bvugt(x, mgr.bv_const(5, WIDTH))
         assert solver.check(assumptions=[bad]) is CheckResult.UNSAT
         assert solver.failed_assumptions() == [bad]
-
-
-class TestBudgetExhaustionMidRace:
-    """Portfolio races where members run out of budget (docs/SOLVER.md)."""
-
-    def _exhausted(self, name="exhausted"):
-        from repro.solver.backends import BackendAnswer, SolverBackend
-        from repro.solver.sat import SatResult
-
-        class Exhausted(SolverBackend):
-            """A backend whose budget is always spent: every call UNKNOWN."""
-
-            def __init__(self):
-                self.name = name
-                self.calls = 0
-
-            def ensure_vars(self, num_vars):
-                pass
-
-            def add_clauses(self, clauses):
-                pass
-
-            def solve(self, assumptions=(), max_conflicts=None, timeout=None):
-                self.calls += 1
-                return BackendAnswer(result=SatResult.UNKNOWN)
-
-        return Exhausted()
-
-    def test_definitive_answer_survives_a_starved_member(self, mgr):
-        from repro.solver.backends import BuiltinBackend, PortfolioSolver
-        from repro.solver.bitblast import BitBlaster
-        from repro.solver.cnf import CnfBuilder
-        from repro.solver.sat import SatResult, SatSolver
-
-        sat = SatSolver()
-        cnf = CnfBuilder(sat, record=True)
-        BitBlaster(cnf).assert_term(_hard_term(mgr))
-
-        starved = self._exhausted()
-        race = PortfolioSolver([starved, BuiltinBackend(sat=sat)])
-        race.feed(sat.num_vars, cnf.clauses)
-        answer = race.solve(timeout=60.0)
-        # One member exhausted its budget; the other's definitive answer is
-        # still returned and credited.
-        assert answer.result is SatResult.UNSAT
-        assert answer.winner == "builtin"
-        assert answer.verdicts["exhausted"] == "unknown"
-        assert starved.calls == 1
-
-    def test_unknown_only_when_every_member_exhausts(self, mgr):
-        from repro.solver.backends import PortfolioSolver
-        from repro.solver.sat import SatResult
-
-        race = PortfolioSolver([self._exhausted("a"), self._exhausted("b")])
-        answer = race.solve()
-        assert answer.result is SatResult.UNKNOWN
-        assert answer.winner is None
-
-    def test_starved_builtin_race_stays_reusable(self, mgr):
-        # Through the facade: a conflict budget of 1 starves the builtin
-        # backend mid-race (UNKNOWN), then a raised budget decides the same
-        # persistent instance — mirroring the legacy reuse guarantee.
-        solver = Solver(mgr, timeout=None, max_conflicts=1, incremental=True,
-                        backend="builtin")
-        solver.push()
-        solver.add(_hard_term(mgr))
-        assert solver.check() is CheckResult.UNKNOWN
-        assert solver.stats.backend_wins == {}      # nobody won that race
-        solver.max_conflicts = 200_000
-        assert solver.check(timeout=60.0) is CheckResult.UNSAT
-        assert solver.stats.backend_wins == {"builtin": 1}
-        solver.pop()
-        assert solver.check(timeout=60.0) is CheckResult.SAT
 
 
 class TestFrameDiscipline:
